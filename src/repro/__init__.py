@@ -141,18 +141,18 @@ sustained distinct-query traffic, bound the engine's column memo with
 
 Scale-out
 ---------
-One process coalesces well but still computes alone. The measure
+One engine coalesces well but still computes alone. The measure
 family here is embarrassingly parallel across query *columns*, so
 :mod:`repro.cluster` shards each coalesced micro-batch across K
-worker processes that all memory-map the same persisted index (one
-page cache, zero-copy)::
+worker threads, each with its own engine over one shared in-process
+index (the kernels release the GIL inside scipy/BLAS)::
 
     ServingService(graph, workers=4)                  # in code
     python -m repro.serve serve --workers 4 --index graph.simidx
 
 Mutations propagate with a two-phase swap (every worker prepares the
 new generation before the pointer flips; old generations are released
-only when their in-flight batches drain) and a killed worker is
+only when their in-flight batches drain) and a crashed worker is
 respawned with its shard retried — the zero-failed-requests guarantee
 survives both. ``python -m repro.bench --cluster`` measures the
 scaling (``speedup_workers_4_vs_1``).
@@ -165,7 +165,7 @@ rebuilds lazily. :mod:`repro.index` persists exactly that: ``Q`` /
 coefficient table, and the fingerprints (graph content digest +
 resolved config) that make reuse safe. ``SimilarityIndex.load``
 memory-maps every buffer read-only, so load time is independent of
-index size and N worker processes share one page cache. The serving
+index size and N server processes share one page cache. The serving
 layer uses it automatically: ``python -m repro.serve serve --index
 graph.simidx`` persists freshly built precomputation after warmup and
 every hot-swap, and a restarted server (or a new replica) adopts the
@@ -183,8 +183,8 @@ Packages
 * :mod:`repro.serve` — the async serving layer: micro-batch
   coalescing broker, versioned result cache, snapshot hot-swap,
   stdlib HTTP front end (``python -m repro.serve``).
-* :mod:`repro.cluster` — multi-process sharded serving: a worker
-  pool over one shared memory-mapped index, a shard router with
+* :mod:`repro.cluster` — sharded serving on worker threads: a
+  thread pool over one shared in-process index, a shard router with
   atomic snapshot pinning, two-phase hot-swap propagation.
 * :mod:`repro.graph` — the graph substrate (structure, matrices,
   generators, IO, stats).

@@ -7,8 +7,8 @@ per-query cost that scales with the *sample budget* instead:
 
 * :class:`WalkIndex` — precomputed reverse random walks (``samples``
   per node, endpoints recorded at each step), persistable as optional
-  segments of the ``.simidx`` container so cluster workers share one
-  memory-mapped copy;
+  segments of the ``.simidx`` container so restarts map it instead of
+  resampling;
 * :class:`ApproxEstimator` — combines walk-endpoint meeting counts
   with the engine's series-coefficient table into single-source
   columns and early-terminating top-k rankings;

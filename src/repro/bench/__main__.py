@@ -20,15 +20,10 @@ below ``--speedup-floor`` — the CI regression gate. ``--serve`` runs
 the serving load generator (:mod:`repro.bench.loadgen`) after the
 kernel suite and embeds its throughput / latency-percentile document
 under the ``"serving"`` key of ``BENCH_<tag>.json``; ``--cluster``
-runs the worker-scaling case for every ``--cluster-backends`` entry
-(process and thread by default, under ``"cluster.backends"``) plus
-the shard-transport comparison (pickled blocks vs shared-memory
-descriptors vs worker-side top-k, under ``"cluster.transport"``);
-the best backend's ``speedup_workers_<b>_vs_<a>`` ratio joins the
+runs the worker-scaling case on the thread pool (under
+``"cluster"``), and its ``speedup_workers_<b>_vs_<a>`` ratio joins the
 gated derived speedups when the machine has enough CPUs to express
-it, and the machine-independent bytes-per-request checks (shm and
-top-k each under 1% of the pickled baseline) are exit gates
-everywhere. ``--approx`` runs the exact-vs-approx large-graph comparison
+it. ``--approx`` runs the exact-vs-approx large-graph comparison
 (:mod:`repro.bench.approx`) on seeded scale-free graphs, embeds its
 document under ``"approx"``, copies ``speedup_approx_vs_exact`` into
 the gated derived speedups, and exits non-zero when precision@k falls
@@ -95,9 +90,10 @@ SERVE_FULL = {"clients": 32, "requests_per_client": 4}
 TELEMETRY_QUICK = {"rounds": 2, "overhead_limit": None}
 TELEMETRY_FULL = {"rounds": 3, "overhead_limit": 0.05}
 
-#: Worker-scaling workloads (``--cluster``): micro-batches of distinct
-#: query columns pushed through the sharded column plane at the low
-#: and high worker counts of the ``speedup_workers_4_vs_1`` gate.
+#: Worker-scaling workloads (``--cluster``): micro-batches of top-k
+#: tasks over distinct query columns pushed through the sharded thread
+#: pool at the low and high worker counts of the
+#: ``speedup_workers_4_vs_1`` gate.
 CLUSTER_QUICK = {"batches": 4, "batch_size": 32}
 CLUSTER_FULL = {"batches": 8, "batch_size": 64}
 
@@ -234,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cluster", action="store_true",
-        help="also run the multi-process worker-scaling case "
-        "(repro.cluster) and embed its document under the 'cluster' "
+        help="also run the worker-scaling case (repro.cluster "
+        "thread pool) and embed its document under the 'cluster' "
         "key; its speedup joins the derived ratios as "
         "speedup_workers_<b>_vs_<a>",
     )
@@ -243,19 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-counts", default="1,4", metavar="A,B",
         help="worker-scaling: comma-separated worker counts, low to "
         "high (default 1,4 — the gated speedup_workers_4_vs_1 pair)",
-    )
-    parser.add_argument(
-        "--cluster-backends", default="process,thread",
-        metavar="B1,B2",
-        help="worker-scaling: comma-separated backends to measure "
-        "(default process,thread); the gated speedup is the best "
-        "across backends",
-    )
-    parser.add_argument(
-        "--transport-byte-limit", type=float, default=0.01,
-        help="transport-compare gate: max allowed "
-        "bytes-per-request ratio of the shm/top-k paths vs the "
-        "pickled baseline (default 0.01 — under 1%%)",
     )
     parser.add_argument(
         "--approx", action="store_true",
@@ -369,14 +352,7 @@ def list_cases(args, preset: dict) -> int:
     print(
         "  cluster_scaling  "
         f"[{preset['nodes']} nodes, {preset['edges']} edges, "
-        f"worker counts {args.worker_counts}, backends "
-        f"{args.cluster_backends}, sharded column plane]"
-    )
-    print(
-        "  transport_compare  "
-        f"[{preset['nodes']} nodes, pickled blocks vs shm "
-        "descriptors vs worker-side top-k, bytes/request gated "
-        "under 1% of pickle]"
+        f"worker counts {args.worker_counts}, sharded thread pool]"
     )
     approx = APPROX_QUICK if args.quick else APPROX_FULL
     sizes = args.approx_nodes or ",".join(
@@ -514,65 +490,25 @@ def main(argv: list[str] | None = None) -> int:
         telemetry_ok = all(
             document["telemetry"]["checks"].values()
         )
-    cluster_ok = True
     if args.cluster:
-        from repro.bench.loadgen import (
-            run_cluster_scaling,
-            run_transport_compare,
-        )
+        from repro.bench.loadgen import run_cluster_scaling
 
-        cluster_defaults = (
-            CLUSTER_QUICK if args.quick else CLUSTER_FULL
-        )
-        counts = tuple(
-            int(w) for w in args.worker_counts.split(",")
-        )
-        backends = tuple(
-            b.strip() for b in args.cluster_backends.split(",")
-            if b.strip()
-        )
-        backend_docs: dict[str, dict] = {}
-        for backend in backends:
-            print(
-                f"  running cluster_scaling[{backend}] ...",
-                flush=True,
-            )
-            backend_docs[backend] = run_cluster_scaling(
-                nodes=preset["nodes"],
-                edges=preset["edges"],
-                worker_counts=counts,
-                num_terms=preset["num_terms"],
-                dtype=args.dtype,
-                seed=args.seed,
-                backend=backend,
-                **cluster_defaults,
-            )
-        print("  running transport_compare ...", flush=True)
-        transport_doc = run_transport_compare(
+        print("  running cluster_scaling ...", flush=True)
+        cluster = run_cluster_scaling(
             nodes=preset["nodes"],
             edges=preset["edges"],
-            batches=cluster_defaults["batches"],
-            batch_size=cluster_defaults["batch_size"],
+            worker_counts=tuple(
+                int(w) for w in args.worker_counts.split(",")
+            ),
             k=args.k,
             num_terms=preset["num_terms"],
             dtype=args.dtype,
             seed=args.seed,
-            byte_ratio_limit=args.transport_byte_limit,
+            **(CLUSTER_QUICK if args.quick else CLUSTER_FULL),
         )
-        key = next(iter(backend_docs.values()))["speedup_key"]
-        # the gate asks that *at least one* backend scales: take the
-        # best ratio — a GIL-bound thread run must not mask a process
-        # win, nor vice versa
-        best = max(doc[key] for doc in backend_docs.values())
-        document["cluster"] = {
-            "backends": backend_docs,
-            "transport": transport_doc,
-            "speedup_key": key,
-            key: best,
-            "checks": dict(transport_doc["checks"]),
-        }
-        document["derived"][key] = best
-        cluster_ok = all(document["cluster"]["checks"].values())
+        document["cluster"] = cluster
+        key = cluster["speedup_key"]
+        document["derived"][key] = cluster[key]
     approx_ok = True
     if args.approx:
         from repro.bench.approx import run_approx_compare
@@ -671,28 +607,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {'ok' if passed else 'FAIL'} telemetry {name}")
     if args.cluster:
         cluster = document["cluster"]
-        for backend, doc in cluster["backends"].items():
-            sides = ", ".join(
-                f"{count}w {data['columns_per_second']:.0f} col/s "
-                f"(transport {data['transport_share']:.0%})"
-                for count, data in doc["workers"].items()
-            )
-            print(
-                f"  cluster_scaling[{backend:<7}]     {sides} "
-                f"-> {doc[doc['speedup_key']]:.2f}x"
-            )
-        transport = cluster["transport"]
-        print(
-            f"  transport_compare            "
-            f"pickle {transport['pickle_columns']['bytes_per_request']:,.0f} "
-            f"B/req vs shm "
-            f"{transport['shm_columns']['bytes_per_request']:,.0f} "
-            f"({transport['shm_bytes_ratio']:.3%}) vs top-k "
-            f"{transport['shm_topk']['bytes_per_request']:,.0f} "
-            f"({transport['topk_bytes_ratio']:.3%})"
+        sides = ", ".join(
+            f"{count}w {data['columns_per_second']:.0f} col/s"
+            for count, data in cluster["workers"].items()
         )
-        for name, passed in cluster["checks"].items():
-            print(f"  {'ok' if passed else 'FAIL'} cluster {name}")
+        print(
+            f"  cluster_scaling              {sides} "
+            f"-> {cluster[cluster['speedup_key']]:.2f}x"
+        )
     if args.approx:
         approx = document["approx"]
         for size, scale in approx["scales"].items():
@@ -750,9 +672,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not approx_ok:
         print("approx gates FAILED", file=sys.stderr)
-        return 1
-    if not cluster_ok:
-        print("cluster transport gates FAILED", file=sys.stderr)
         return 1
     if not mutate_ok:
         print("mutate gates FAILED", file=sys.stderr)

@@ -34,7 +34,6 @@ __all__ = [
     "run_cluster_scaling",
     "run_serving_load",
     "run_telemetry_overhead",
-    "run_transport_compare",
 ]
 
 #: Upper edges (ms) of the latency histogram's log-spaced buckets; the
@@ -412,47 +411,37 @@ def run_cluster_scaling(
     worker_counts: Sequence[int] = (1, 4),
     batches: int = 8,
     batch_size: int = 64,
+    k: int = 10,
     num_terms: int = 10,
     measure: str = "gSR*",
     c: float = 0.6,
     dtype: str = "float64",
     seed: int = 42,
-    mp_context: str = "spawn",
-    backend: str = "process",
-    transport: str = "shm",
 ) -> dict:
-    """Measure scale-out of the sharded column plane, per backend.
+    """Measure scale-out of the sharded thread pool.
 
     For each entry of ``worker_counts``, stands up a
-    :class:`~repro.cluster.WorkerPool` (``backend="process"``) or
-    :class:`~repro.cluster.ThreadWorkerPool` (``backend="thread"``)
-    behind a ``ShardRouter`` over the same seeded random digraph and
-    pushes the identical workload through it: ``batches``
-    micro-batches of ``batch_size`` *distinct* query columns each
-    (distinct so no worker-side memo hit hides compute), dispatched
-    back to back through ``router.compute``. Pool startup, index
-    persistence, and the warmup batch are excluded from the timed
-    window — this isolates steady-state shard-parallel serving, which
-    is what ``--workers K`` buys over ``--workers 1``.
+    :class:`~repro.cluster.ThreadWorkerPool` behind a ``ShardRouter``
+    over the same seeded random digraph and pushes the identical
+    workload through it: ``batches`` micro-batches of ``batch_size``
+    top-``k`` tasks over *distinct* query columns each (distinct so no
+    worker-side memo hit hides compute), dispatched back to back
+    through ``router.compute_tasks``. Pool startup and the warmup
+    batch are excluded from the timed window — this isolates
+    steady-state shard-parallel serving, which is what ``--workers K``
+    buys over ``--workers 1``.
 
     The derived ``speedup_workers_<b>_vs_<a>`` ratio (last count vs
-    first) is machine-independent *given enough cores*: compute
-    happens in the workers, so K workers on >= K idle cores should
-    approach ``Kx`` minus shard-transport overhead. The compare gate
-    therefore only enforces its floor when the recording machine
-    actually has at least ``b`` CPUs (``machine.cpu_count`` in the
-    bench document); on smaller machines the ratio is reported but
-    cannot be meaningful. Each per-count entry also splits the wall
-    into worker-reported compute vs transport (dispatch) seconds —
-    the share the zero-copy rings are meant to collapse. Returns a
-    JSON-ready document with per-count throughput, per-batch latency
-    statistics, the transport split, and the speedup.
+    first) is machine-independent *given enough cores*: K workers on
+    >= K idle cores can approach ``Kx`` only as far as the kernels
+    release the GIL. The compare gate therefore only enforces its
+    floor when the recording machine actually has at least ``b`` CPUs
+    (``machine.cpu_count`` in the bench document); on smaller
+    machines the ratio is reported but cannot be meaningful. Returns
+    a JSON-ready document with per-count throughput, per-batch
+    latency statistics, and the speedup.
     """
-    from repro.cluster import (
-        ShardRouter,
-        ThreadWorkerPool,
-        WorkerPool,
-    )
+    from repro.cluster import ShardRouter, ThreadWorkerPool
     from repro.engine import SimilarityConfig
     from repro.graph.generators import random_digraph
     from repro.serve import SnapshotManager
@@ -473,54 +462,42 @@ def run_cluster_scaling(
             else rng.integers(0, nodes, size=pool_size)
         )
     ]
-    warmup_batch = picks[:batch_size]
+
+    def tasks(ids):
+        return [{"op": "top_k", "query": q, "k": k} for q in ids]
+
+    warmup_batch = tasks(picks[:batch_size])
     workload = [
-        picks[(i + 1) * batch_size:(i + 2) * batch_size]
+        tasks(picks[(i + 1) * batch_size:(i + 2) * batch_size])
         for i in range(batches)
     ]
 
-    if backend not in ("process", "thread"):
-        raise ValueError(
-            f"backend must be 'process' or 'thread', got {backend!r}"
-        )
     per_count: dict[str, dict] = {}
     for count in worker_counts:
-        snapshots = SnapshotManager(graph, config)
-        if backend == "thread":
-            pool = ThreadWorkerPool(workers=count)
-        else:
-            pool = WorkerPool(
-                workers=count,
-                mp_context=mp_context,
-                transport=transport,
-                ring_max_batch=batch_size,
-            )
-        router = ShardRouter(pool, snapshots)
+        router = ShardRouter(
+            ThreadWorkerPool(workers=count), SnapshotManager(graph, config)
+        )
         start = time.perf_counter()
         router.start()
         startup = time.perf_counter() - start
         snapshot = router.pin()
         try:
-            router.compute(snapshot.seq, warmup_batch)  # untimed
+            router.compute_tasks(snapshot.seq, warmup_batch)  # untimed
             batch_seconds: list[float] = []
             wall_start = time.perf_counter()
             for batch in workload:
                 t0 = time.perf_counter()
-                columns = router.compute(snapshot.seq, batch)
+                results = router.compute_tasks(snapshot.seq, batch)
                 batch_seconds.append(time.perf_counter() - t0)
-                if len(columns) != len(set(batch)):
+                if any(isinstance(r, Exception) for r in results):
                     raise RuntimeError(
-                        f"dropped columns at workers={count}"
+                        f"failed tasks at workers={count}"
                     )
             wall = time.perf_counter() - wall_start
-            transport_stats = pool.transport_stats()
         finally:
             router.unpin(snapshot.seq)
             router.stop()
         total = batches * batch_size
-        compute_s = transport_stats.get("compute_seconds", 0.0)
-        shuttle_s = transport_stats.get("transport_seconds", 0.0)
-        busy = compute_s + shuttle_s
         per_count[str(count)] = {
             "startup_seconds": startup,
             "wall_seconds": wall,
@@ -530,16 +507,6 @@ def run_cluster_scaling(
             ).to_dict(),
             "shards_dispatched": router.shards_dispatched,
             "shard_retries": router.shard_retries,
-            "compute_seconds": compute_s,
-            "transport_seconds": shuttle_s,
-            "transport_share": shuttle_s / busy if busy > 0 else 0.0,
-            "transport_bytes": transport_stats.get(
-                "transport_bytes", 0
-            ),
-            "ring_replies": transport_stats.get("ring_replies", 0),
-            "pickle_replies": transport_stats.get(
-                "pickle_replies", 0
-            ),
         }
 
     low, high = worker_counts[0], worker_counts[-1]
@@ -553,183 +520,16 @@ def run_cluster_scaling(
             "batches": batches,
             "batch_size": batch_size,
             "total_columns": batches * batch_size,
-            "num_terms": num_terms,
-            "measure": measure,
-            "c": c,
-            "dtype": dtype,
-            "seed": seed,
-            "mp_context": mp_context,
-            "backend": backend,
-            "transport": transport,
-        },
-        "workers": per_count,
-        "speedup_key": f"speedup_workers_{high}_vs_{low}",
-        f"speedup_workers_{high}_vs_{low}": (
-            high_rps / low_rps if low_rps > 0 else float("inf")
-        ),
-    }
-
-
-def run_transport_compare(
-    nodes: int = 2000,
-    edges: int = 12000,
-    *,
-    workers: int = 2,
-    batches: int = 4,
-    batch_size: int = 32,
-    k: int = 10,
-    num_terms: int = 10,
-    measure: str = "gSR*",
-    c: float = 0.6,
-    dtype: str = "float64",
-    seed: int = 42,
-    mp_context: str = "spawn",
-    byte_ratio_limit: float = 0.01,
-) -> dict:
-    """Price the shard transport: pickle vs shm vs worker-side top-k.
-
-    Pushes the identical workload (``batches`` micro-batches of
-    ``batch_size`` distinct queries) through three configurations of
-    the same :class:`~repro.cluster.WorkerPool` + ``ShardRouter``:
-
-    * ``pickle_columns`` — full ``(n, B)`` score blocks pickled over
-      the pipe (``transport="pickle"``), the pre-ring baseline;
-    * ``shm_columns`` — the same blocks written into the per-worker
-      shared-memory rings; only a descriptor crosses the pipe;
-    * ``shm_topk`` — worker-side top-k (``ShardRouter.compute_tasks``
-      with ``op="top_k"``): only ``(k, B)`` ids+scores cross, and
-      nothing touches the ring.
-
-    ``bytes_per_request`` is exact and machine-independent: the
-    parent's per-reply byte accounting divided by queries served, on
-    a seeded graph. The ``checks`` gate asserts the descriptor and
-    task paths each ship under ``byte_ratio_limit`` (default 1%) of
-    the pickle baseline's bytes, and that shm columns are
-    bit-identical to pickled ones. Returns a JSON-ready document.
-    """
-    from repro.cluster import ShardRouter, WorkerPool
-    from repro.engine import SimilarityConfig
-    from repro.graph.generators import random_digraph
-    from repro.serve import SnapshotManager
-
-    graph = random_digraph(nodes, edges, seed=seed)
-    config = SimilarityConfig(
-        measure=measure, c=c, num_iterations=num_terms, dtype=dtype
-    )
-    rng = np.random.default_rng(seed)
-    pool_size = batches * batch_size
-    picks = [
-        int(q) for q in (
-            rng.permutation(nodes)[:pool_size]
-            if pool_size <= nodes
-            else rng.integers(0, nodes, size=pool_size)
-        )
-    ]
-    workload = [
-        picks[i * batch_size:(i + 1) * batch_size]
-        for i in range(batches)
-    ]
-    total = batches * batch_size
-
-    def one_config(transport: str, op: str) -> tuple[dict, dict]:
-        snapshots = SnapshotManager(graph, config)
-        router = ShardRouter(
-            WorkerPool(
-                workers=workers,
-                mp_context=mp_context,
-                transport=transport,
-                ring_max_batch=batch_size,
-            ),
-            snapshots,
-        )
-        router.start()
-        snapshot = router.pin()
-        sample: dict = {}
-        try:
-            wall_start = time.perf_counter()
-            for batch in workload:
-                if op == "tasks":
-                    tasks = [
-                        {"op": "top_k", "query": q, "k": k,
-                         "include_query": False}
-                        for q in batch
-                    ]
-                    router.compute_tasks(snapshot.seq, tasks)
-                else:
-                    columns = router.compute(snapshot.seq, batch)
-                    if not sample:
-                        sample = {
-                            int(q): np.asarray(columns[q]).copy()
-                            for q in workload[0]
-                        }
-            wall = time.perf_counter() - wall_start
-            stats = router.pool.transport_stats()
-        finally:
-            router.unpin(snapshot.seq)
-            router.stop()
-        payload_bytes = int(stats.get("transport_bytes", 0))
-        report = {
-            "transport": transport,
-            "op": op,
-            "wall_seconds": wall,
-            "requests": total,
-            "transport_bytes": payload_bytes,
-            "bytes_per_request": payload_bytes / total,
-            "ring_replies": stats.get("ring_replies", 0),
-            "pickle_replies": stats.get("pickle_replies", 0),
-            "task_replies": stats.get("task_replies", 0),
-            "ring_fallbacks": stats.get("ring_unavailable", False),
-            "compute_seconds": stats.get("compute_seconds", 0.0),
-            "transport_seconds": stats.get(
-                "transport_seconds", 0.0
-            ),
-        }
-        return report, sample
-
-    pickle_side, pickle_sample = one_config("pickle", "columns")
-    shm_side, shm_sample = one_config("shm", "columns")
-    topk_side, _ = one_config("shm", "tasks")
-
-    identical = all(
-        np.array_equal(pickle_sample[q], shm_sample[q])
-        for q in pickle_sample
-    )
-    base = pickle_side["bytes_per_request"]
-    shm_ratio = (
-        shm_side["bytes_per_request"] / base if base > 0 else 0.0
-    )
-    topk_ratio = (
-        topk_side["bytes_per_request"] / base if base > 0 else 0.0
-    )
-    return {
-        "params": {
-            "nodes": nodes,
-            "edges": edges,
-            "workers": workers,
-            "batches": batches,
-            "batch_size": batch_size,
-            "total_requests": total,
             "k": k,
             "num_terms": num_terms,
             "measure": measure,
             "c": c,
             "dtype": dtype,
             "seed": seed,
-            "mp_context": mp_context,
-            "byte_ratio_limit": byte_ratio_limit,
         },
-        "pickle_columns": pickle_side,
-        "shm_columns": shm_side,
-        "shm_topk": topk_side,
-        "shm_bytes_ratio": shm_ratio,
-        "topk_bytes_ratio": topk_ratio,
-        "checks": {
-            "shm_columns_bit_identical": identical,
-            "shm_descriptor_bytes_under_limit": (
-                0 < shm_ratio < byte_ratio_limit
-            ),
-            "topk_bytes_under_limit": (
-                0 < topk_ratio < byte_ratio_limit
-            ),
-        },
+        "workers": per_count,
+        "speedup_key": f"speedup_workers_{high}_vs_{low}",
+        f"speedup_workers_{high}_vs_{low}": (
+            high_rps / low_rps if low_rps > 0 else float("inf")
+        ),
     }

@@ -1,85 +1,68 @@
-"""`repro.cluster` — multi-process sharded serving over one mmap index.
+"""`repro.cluster` — sharded serving over one in-process index.
 
 Single-process serving (:mod:`repro.serve`) coalesces traffic into
-blocked batches, but one GIL-bound process still caps throughput. The
-similarity family served here is embarrassingly parallel across query
-*columns* — each single-source evaluation is an independent solve — so
-this package scales it horizontally the only way that preserves the
-paper's preprocess-once economics: **K worker processes that
-memory-map one persisted** :class:`~repro.index.SimilarityIndex`
-**and therefore share one page cache**, instead of K heap copies of
-``Q`` / ``Q^T`` / the compressed factors.
+blocked batches. The similarity family served here is embarrassingly
+parallel across query *columns* — each single-source evaluation is an
+independent solve over one precomputed, read-only operator — so
+parallel serving needs only K engines that share one index. Threads in
+one address space do exactly that: the kernels release the GIL inside
+scipy/BLAS, and the answers never leave the process.
 
-Four parts:
+Two parts:
 
-* :class:`WorkerPool` — forks the workers (``spawn`` context), writes
-  one ``gen-<seq>.simidx`` per served snapshot generation, replays
-  live generations into respawned workers, and runs the two-phase
-  hot-swap (``prepare`` everywhere first, then ``commit``). Shard
-  results return through per-worker shared-memory rings
-  (:mod:`repro.cluster.shm`) — only a tiny descriptor crosses the
-  pipe; pickle remains as a counted fallback.
-* :class:`ThreadWorkerPool` — the ``backend="thread"`` twin: K
-  per-thread engines adopting one in-process index (shared artifact
-  arrays, private memos), no transport at all; the kernels release
-  the GIL inside scipy/BLAS, so threads can scale compute too.
-* :class:`ShardRouter` — splits each coalesced micro-batch into
-  per-worker column shards, dispatches them concurrently, merges the
-  results in arrival order, and owns the atomic snapshot *pinning*
-  that lets mutations hot-swap mid-traffic with zero failed requests.
-  With ``worker_topk`` (default) top-k selection itself runs
-  worker-side (:meth:`ShardRouter.compute_tasks`), so only ``(k, B)``
-  ids+scores survive the hop instead of ``(n, B)`` score blocks.
-* :mod:`repro.cluster.worker` — the worker process itself: one engine
-  per live generation, built from the mmap'd index (or rebuilt from
-  the shipped graph when the file is corrupt — a swap never fails on
-  a bad file).
+* :class:`ThreadWorkerPool` — K worker threads, each holding one
+  engine per live snapshot *generation*, all adopting the same
+  exported :class:`~repro.index.SimilarityIndex` (shared artifact
+  arrays, private column memos); runs the two-phase hot-swap
+  (``prepare`` everywhere first, then ``commit``) and the chaos hooks.
+* :class:`ShardRouter` — splits each coalesced micro-batch of top-k /
+  score tasks into per-worker shards, runs them concurrently, and owns
+  the atomic snapshot *pinning* that lets mutations hot-swap
+  mid-traffic with zero failed requests, plus the per-worker circuit
+  breakers and respawn-and-retry.
 
-Wired into the serving layer as ``ServingService(graph, workers=K,
-backend=...)`` and ``python -m repro.serve serve --workers K
---backend thread|process``; scaling is measured by ``python -m
-repro.bench --cluster`` (the ``speedup_workers_4_vs_1`` gate) and the
-transport itself by ``python -m repro.bench --cluster``'s
-transport-bytes comparison.
+Each shard is answered by :func:`run_tasks` (defined in
+:mod:`repro.engine.results`), the same function the in-process
+``workers=0`` path runs, so both return identical answers.
+
+Wired into the serving layer as ``ServingService(graph, workers=K)``
+and ``python -m repro.serve serve --workers K``; scaling is measured
+by ``python -m repro.bench --cluster`` (the ``speedup_workers_4_vs_1``
+gate).
 
 End to end, one worker, eleven nodes (the paper's Figure 1 graph):
 
->>> from repro.cluster import ShardRouter, WorkerPool
+>>> from repro.cluster import ShardRouter, ThreadWorkerPool
 >>> from repro.graph import figure1_citation_graph
 >>> from repro.serve import SnapshotManager
 >>> snapshots = SnapshotManager(
 ...     figure1_citation_graph(), measure="gSR*", c=0.8,
 ...     num_iterations=10)
->>> router = ShardRouter(WorkerPool(workers=1), snapshots)
+>>> router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
 >>> router.start()
 >>> snapshot = router.pin()
->>> columns = router.compute(snapshot.seq, [0, 1])
+>>> ranking, score = router.compute_tasks(snapshot.seq, [
+...     {"op": "top_k", "query": 0, "k": 3},
+...     {"op": "score", "query": 0, "u": 1},
+... ])
 >>> router.unpin(snapshot.seq)
->>> sorted(columns) == [0, 1] and len(columns[0]) == 11
-True
->>> float(columns[0][0]) > 0  # self-similarity is positive
-True
+>>> len(ranking), ranking.query_label, score > 0
+(3, 'a', True)
 >>> router.stop()
 """
 
-from repro.cluster.pool import ClusterError, WorkerCrash, WorkerPool
 from repro.cluster.router import ShardRouter
-from repro.cluster.thread_pool import ThreadWorkerPool
-from repro.cluster.worker import (
-    graph_from_payload,
-    graph_to_payload,
-    run_tasks,
-    worker_main,
+from repro.cluster.thread_pool import (
+    ClusterError,
+    ThreadWorkerPool,
+    WorkerCrash,
 )
+from repro.engine.results import run_tasks
 
 __all__ = [
     "ClusterError",
     "ShardRouter",
     "ThreadWorkerPool",
     "WorkerCrash",
-    "WorkerPool",
-    "graph_from_payload",
-    "graph_to_payload",
     "run_tasks",
-    "worker_main",
 ]

@@ -1,13 +1,12 @@
-"""`ShardRouter` — split micro-batches into per-worker column shards.
+"""`ShardRouter` — split micro-batches into per-worker shards.
 
-The router is the parent-side query plane of :mod:`repro.cluster`:
-the broker hands it one coalesced micro-batch of resolved query ids,
-it splits them into up to K contiguous shards, dispatches each shard
-to its worker concurrently (one thread per shard — the *workers* do
-the math, the threads only move pickles), and merges the per-shard
-column dicts in arrival order. This is exactly the shape single-source
-SimRank-family evaluation shards into: every query column is an
-independent solve, so the split needs no coordination beyond the merge.
+The broker hands the router one coalesced micro-batch of resolved
+top-k / score tasks; it splits them into up to K contiguous shards,
+runs each shard on its worker concurrently (one dispatch thread per
+shard), and returns the finished answers in task order. This is
+exactly the shape single-source SimRank-family evaluation shards into:
+every query column is an independent solve, so the split needs no
+coordination beyond the merge.
 
 The router also owns the *pinning* discipline that makes hot-swaps
 safe under concurrency: :meth:`pin` atomically reads the current
@@ -17,36 +16,39 @@ workers only once its in-flight count drains to zero. A batch
 therefore always computes against the exact generation it pinned —
 never a mix, never a dropped request.
 
-Worker death is handled below the caller's line of sight: a shard
-whose worker died (or hung past the pool's ``shard_timeout``) respawns
-the worker — replaying every live generation — and retries, up to
+Worker crashes are handled below the caller's line of sight: a
+shard whose worker raised :class:`~repro.cluster.WorkerCrash` respawns
+the worker — rebuilding every live generation — and retries, up to
 ``max_retries`` per shard. Repeated failures trip that worker's
 circuit breaker (a :class:`~repro.serve.guard.BreakerBoard`): while
-open, shards bound for it are served by an in-process fallback engine
-(the parent's own pinned snapshot) instead of queueing behind a sick
-process, and a half-open probe after the cooldown restores it.
+open, shards bound for it are answered by the pinned snapshot's own
+engine instead of queueing behind a sick worker, and a half-open probe
+after the cooldown restores it.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster.pool import ClusterError, WorkerCrash, WorkerPool
+from repro.cluster.thread_pool import (
+    ClusterError,
+    ThreadWorkerPool,
+    WorkerCrash,
+)
+from repro.engine.results import run_tasks
 
 __all__ = ["ShardRouter"]
 
 
 class ShardRouter:
-    """Route coalesced batches across a :class:`WorkerPool`.
+    """Route coalesced batches across a :class:`ThreadWorkerPool`.
 
     Parameters
     ----------
     pool:
-        The worker pool that owns the processes and generations.
+        The worker pool that owns the workers and generations.
     snapshots:
         The parent :class:`~repro.serve.SnapshotManager`; its
         ``current`` snapshot is what :meth:`pin` pins, and its
@@ -55,11 +57,6 @@ class ShardRouter:
     max_retries:
         Dispatch attempts per shard beyond the first (each retry
         respawns the shard's worker first).
-    worker_topk:
-        When true (default), the broker may route ``top_k`` /
-        ``score`` batches through :meth:`compute_tasks` — selection
-        runs worker-side and only ``(k, B)`` ids+scores cross the
-        pipe instead of full ``(n, B)`` column blocks.
     obs:
         Optional :class:`~repro.obs.Observability`; when set, each
         shard's round-trip is observed into the
@@ -67,13 +64,13 @@ class ShardRouter:
         :meth:`collect_worker_metrics` merges worker-side metric
         snapshots into its registry.
 
-    Construction is inert (the doctest never forks):
+    Construction is inert:
 
-    >>> from repro.cluster import ShardRouter, WorkerPool
+    >>> from repro.cluster import ShardRouter, ThreadWorkerPool
     >>> from repro.graph import figure1_citation_graph
     >>> from repro.serve import SnapshotManager
     >>> router = ShardRouter(
-    ...     WorkerPool(workers=2),
+    ...     ThreadWorkerPool(workers=2),
     ...     SnapshotManager(figure1_citation_graph(), measure="gSR*"),
     ... )
     >>> router.started
@@ -82,11 +79,10 @@ class ShardRouter:
 
     def __init__(
         self,
-        pool: WorkerPool,
+        pool: ThreadWorkerPool,
         snapshots,
         *,
         max_retries: int = 2,
-        worker_topk: bool = True,
         obs=None,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 5.0,
@@ -96,7 +92,6 @@ class ShardRouter:
         self.pool = pool
         self.snapshots = snapshots
         self.max_retries = int(max_retries)
-        self.worker_topk = bool(worker_topk)
         self.obs = obs
         self._lock = threading.Lock()   # pins + retirement
         self._inflight: dict[int, int] = {}
@@ -112,7 +107,7 @@ class ShardRouter:
             cooldown_s=breaker_cooldown_s,
         )
         # seq -> Snapshot for every generation a batch may pin: the
-        # in-process fallback engine an open breaker serves from
+        # fallback engine an open breaker serves from
         self._fallback_snapshots: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -126,9 +121,7 @@ class ShardRouter:
         """Start the pool on the manager's current snapshot."""
         if self.started:
             return
-        snapshot = self.snapshots.current
-        self.pool.start(snapshot)
-        self._mirror_persist(snapshot)
+        self.pool.start(self.snapshots.current)
         self._executor = ThreadPoolExecutor(
             max_workers=self.pool.size,
             thread_name_prefix="repro-cluster-shard",
@@ -170,7 +163,7 @@ class ShardRouter:
         that is deliberately not ``snapshots.current`` — blue-green
         serving reads old and new generations side by side. The
         caller must have had the generation prepared on the workers
-        first (:meth:`prepare_generation`).
+        first (:meth:`pre_swap`).
         """
         with self._lock:
             self._inflight[snapshot.seq] = (
@@ -197,21 +190,10 @@ class ShardRouter:
     def pre_swap(self, snapshot) -> None:
         """Hot-swap phase one: all workers prepare ``snapshot``.
 
-        Raising here aborts the swap in
+        Serves both a plain swap and a blue-green canary's green
+        generation. Raising here aborts the swap in
         :meth:`~repro.serve.SnapshotManager.mutate` — the old
         generation keeps serving, untouched.
-        """
-        if self.started:
-            self.pool.prepare(snapshot)
-            self._mirror_persist(snapshot)
-
-    def prepare_generation(self, snapshot) -> None:
-        """Prepare a generation on the workers *without* mirroring.
-
-        The blue-green path: the green candidate must be servable by
-        every worker, but it must not touch the manager's persisted
-        ``index_path`` until (unless) it is promoted — a rollback has
-        to leave the on-disk index exactly as blue left it.
         """
         if self.started:
             self.pool.prepare(snapshot)
@@ -234,40 +216,6 @@ class ShardRouter:
             self._fallback_snapshots.pop(seq, None)
         if self.started:
             self.pool.release(seq)
-
-    def _mirror_persist(self, snapshot) -> None:
-        """Copy the generation's index file onto the manager's
-        ``index_path`` instead of letting the manager re-export.
-
-        The pool just serialised this exact engine's artifacts into
-        ``gen-<seq>.simidx``; a file copy + atomic rename is far
-        cheaper than a second ``export_index().save()`` (full
-        serialisation + checksums) at the end of the same mutation.
-        Best-effort: on any IO error the manager's own persist path
-        still runs.
-
-        Delta snapshots are skipped: their generation file is a tiny
-        chained segment, not a full index — copying it over the
-        manager's base file would destroy the chain. The manager
-        persists those itself (as ``.delta-<n>`` siblings of its
-        ``index_path``).
-        """
-        if not getattr(self.pool, "persists_index", True):
-            return  # thread pool: no per-generation files to mirror
-        if getattr(snapshot, "delta", None) is not None:
-            return
-        manager = self.snapshots
-        path = getattr(manager, "index_path", None)
-        if path is None or not getattr(manager, "persist_index", True):
-            return
-        try:
-            source = self.pool.generation_path(snapshot.seq)
-            staging = path.with_name(path.name + ".mirror")
-            shutil.copy2(source, staging)
-            os.replace(staging, path)
-        except OSError:
-            return
-        manager.mark_persisted(snapshot.engine)
 
     def post_swap(self, old, new) -> None:
         """Hot-swap phase two: commit ``new``, retire older gens."""
@@ -293,66 +241,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # the query plane
     # ------------------------------------------------------------------
-    def compute(
-        self, seq: int, ids: list[int], meta: dict | None = None
-    ) -> dict:
-        """Columns for ``ids`` from generation ``seq``, shard-parallel.
-
-        Splits the (already resolved, deduplicated) ids into
-        contiguous shards over the pool's workers, dispatches them
-        concurrently, and merges the results. Blocking — the broker
-        calls it through an executor thread.
-
-        ``meta`` is an optional telemetry exchange dict: its
-        ``trace_ids`` entry (the batch's request trace ids) is
-        forwarded to every worker, and on return its ``shards`` entry
-        holds one timing dict per dispatched shard (worker index,
-        worker pid, id count, round-trip seconds, worker-side compute
-        seconds) — what the broker turns into per-shard trace spans.
-        """
-        if not self.started:
-            raise ClusterError("router not started")
-        distinct = list(dict.fromkeys(int(q) for q in ids))
-        if not distinct:
-            return {}
-        shards = self._split(distinct)
-        # rotate the starting worker per batch: without the offset,
-        # every batch smaller than the pool (the common case under
-        # steady non-bursty traffic) would land on worker 0 alone
-        offset = self.batches_routed % self.pool.size
-        self.batches_routed += 1
-        if meta is not None:
-            meta.setdefault("shards", [])
-        merged: dict[int, object] = {}
-        if len(shards) == 1:
-            merged.update(
-                self._run_shard(offset, seq, shards[0], meta)
-            )
-            return merged
-        futures = [
-            self._executor.submit(
-                self._run_shard,
-                (offset + i) % self.pool.size,
-                seq,
-                shard,
-                meta,
-            )
-            for i, shard in enumerate(shards)
-        ]
-        errors = []
-        for future in futures:
-            try:
-                merged.update(future.result())
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-        if errors:
-            raise ClusterError(
-                f"{len(errors)} of {len(shards)} shards failed "
-                f"after retries: {errors[0]}"
-            ) from errors[0]
-        return merged
-
-    def _split(self, ids: list[int]) -> list[list[int]]:
+    def _split(self, ids: list) -> list[list]:
         """Contiguous, balanced shards — at most one per worker.
 
         Never yields an empty shard, and never a shard twice another's
@@ -377,31 +266,36 @@ class ShardRouter:
     def compute_tasks(
         self, seq: int, tasks: list[dict], meta: dict | None = None
     ) -> list:
-        """Run selection ``tasks`` shard-parallel, worker-side top-k.
+        """Answer ``tasks`` from generation ``seq``, shard-parallel.
 
-        The worker-side twin of :meth:`compute`: each task
-        (see :func:`repro.cluster.worker.run_tasks`) is answered with
-        a compact ``("top_k", nodes, scores)`` / ``("score", value)``
-        tuple — results return positionally, one per task, and full
-        score columns never cross the pipe. Sharding, the round-robin
-        offset, retry, and ``meta`` telemetry all match
-        :meth:`compute`.
+        Splits the tasks (see :func:`~repro.engine.results.run_tasks`)
+        into contiguous shards over the pool's workers, runs them
+        concurrently, and returns one result per task, in task order:
+        a :class:`~repro.engine.Ranking`, a float score, or that
+        task's own exception. Blocking — the broker calls it through
+        an executor thread.
+
+        ``meta`` is an optional telemetry exchange dict: its
+        ``trace_ids`` entry (the batch's request trace ids) is handed
+        to every worker, and on return its ``shards`` entry holds one
+        timing dict per dispatched shard (worker index, task count,
+        seconds, start, echoed trace ids) — what the broker turns into
+        per-shard trace spans.
         """
         if not self.started:
             raise ClusterError("router not started")
         if not tasks:
             return []
         shards = self._split(list(tasks))
+        # rotate the starting worker per batch: without the offset,
+        # every batch smaller than the pool (the common case under
+        # steady non-bursty traffic) would land on worker 0 alone
         offset = self.batches_routed % self.pool.size
         self.batches_routed += 1
         if meta is not None:
             meta.setdefault("shards", [])
         if len(shards) == 1:
-            return list(
-                self._run_shard(
-                    offset, seq, shards[0], meta, op="tasks"
-                )
-            )
+            return list(self._run_shard(offset, seq, shards[0], meta))
         futures = [
             self._executor.submit(
                 self._run_shard,
@@ -409,7 +303,6 @@ class ShardRouter:
                 seq,
                 shard,
                 meta,
-                op="tasks",
             )
             for i, shard in enumerate(shards)
         ]
@@ -433,28 +326,21 @@ class ShardRouter:
         seq: int,
         shard: list,
         meta: dict | None = None,
-        *,
-        op: str = "columns",
-    ):
+    ) -> list:
         """One shard on one worker: breaker, respawn-and-retry, fallback."""
         with self._lock:  # shard threads run concurrently
             self.shards_dispatched += 1
         if not self.breakers.allow(worker_index):
             # circuit open: don't queue behind a sick worker — the
-            # parent's own engine for this generation answers instead
-            return self._fallback_shard(
-                worker_index, seq, shard, meta, op=op
-            )
+            # pinned snapshot's own engine answers instead
+            return self._fallback_shard(worker_index, seq, shard, meta)
         trace_ids = meta.get("trace_ids") if meta else None
-        dispatch = (
-            self.pool.shard_tasks if op == "tasks" else self.pool.shard
-        )
         attempts = self.max_retries + 1
         for attempt in range(attempts):
             try:
                 t0 = time.perf_counter()
                 shard_meta: dict = {}
-                columns = dispatch(
+                results = self.pool.shard_tasks(
                     worker_index,
                     seq,
                     shard,
@@ -467,9 +353,6 @@ class ShardRouter:
                     self.obs.shard_dispatch.labels(
                         worker=str(worker_index)
                     ).observe(elapsed)
-                    self.obs.transport_bytes.labels(
-                        path=shard_meta.get("path", "none")
-                    ).inc(shard_meta.get("payload_bytes", 0))
                 if meta is not None:
                     row = {
                         "worker": worker_index,
@@ -481,19 +364,20 @@ class ShardRouter:
                         row.update(shard_meta)
                     with self._lock:
                         meta["shards"].append(row)
-                return columns
+                return results
             except WorkerCrash:
                 opened = self.breakers.record_failure(worker_index)
                 if opened:
                     # the breaker just tripped: heal the worker now so
                     # the half-open probe after the cooldown meets a
-                    # fresh process, and serve this shard in-process
+                    # fresh worker, and serve this shard from the
+                    # fallback engine
                     try:
                         self.pool.respawn(worker_index)
                     except Exception:  # noqa: BLE001 - best effort
                         pass
                     return self._fallback_shard(
-                        worker_index, seq, shard, meta, op=op
+                        worker_index, seq, shard, meta
                     )
                 if attempt == attempts - 1:
                     raise
@@ -508,34 +392,24 @@ class ShardRouter:
         seq: int,
         shard: list,
         meta: dict | None = None,
-        *,
-        op: str = "columns",
-    ):
-        """Serve one shard from the parent's in-process engine.
+    ) -> list:
+        """Serve one shard from the pinned snapshot's own engine.
 
         The open-breaker degraded mode: correctness is identical (the
         fallback engine is the exact pinned snapshot the batch would
-        have computed against worker-side), only the process boundary
-        and its parallelism are given up while the worker heals.
+        have computed against on the worker), only that worker's
+        share of the parallelism is given up while it heals.
         """
         with self._lock:
             snapshot = self._fallback_snapshots.get(seq)
         if snapshot is None:
             raise WorkerCrash(
                 f"worker {worker_index} circuit open and no "
-                f"in-process fallback engine for generation {seq}"
+                f"fallback engine for generation {seq}"
             )
         self.breakers.record_fallback()
         t0 = time.perf_counter()
-        if op == "tasks":
-            from repro.cluster.worker import run_tasks
-
-            result, _ = run_tasks(snapshot.engine, shard)
-        else:
-            columns = snapshot.engine.columns(
-                [int(q) for q in shard]
-            )
-            result = {int(q): columns[int(q)] for q in shard}
+        result = run_tasks(snapshot.engine, shard)
         if meta is not None:
             row = {
                 "worker": worker_index,
@@ -551,13 +425,11 @@ class ShardRouter:
     def collect_worker_metrics(self, registry) -> int:
         """Merge every worker's metric snapshot into ``registry``.
 
-        Pings the pool; each worker that answers ships a cumulative
-        snapshot of its own :class:`~repro.obs.MetricsRegistry`, which
-        is merged with replacement semantics
+        Each worker's cumulative :class:`~repro.obs.MetricsRegistry`
+        snapshot is merged with replacement semantics
         (:meth:`~repro.obs.MetricsRegistry.ingest`) under the source
-        id ``worker-<index>`` — re-ingesting never double-counts, and
-        a busy worker simply keeps its previous contribution. Returns
-        how many workers were merged.
+        id ``worker-<index>`` — re-ingesting never double-counts.
+        Returns how many workers were merged.
         """
         if not self.started:
             return 0
@@ -573,7 +445,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def describe(self, ping_workers: bool = True) -> dict:
+    def describe(self) -> dict:
         """JSON-ready router + pool state (the ``/status`` shape)."""
         with self._lock:
             inflight = dict(self._inflight)
@@ -585,7 +457,7 @@ class ShardRouter:
             "inflight": inflight,
             "breaker": self.breakers.describe(),
         }
-        if ping_workers and self.started:
+        if self.started:
             out["worker_status"] = self.pool.worker_status()
         return out
 

@@ -1,72 +1,72 @@
-"""`ThreadWorkerPool` — the in-process, zero-transport cluster backend.
+"""`ThreadWorkerPool` — K engines over one in-process index.
 
-The process pool pays a real transport (pickle or shared-memory ring)
-because its engines live in other address spaces. But the blocked
-column kernels spend their time inside scipy's sparse matmul and BLAS
-— C code that can release the GIL — so a pool of *threads* over
-per-thread engines sharing **one** in-process index is a viable second
-backend with no transport cost at all: the "shard" call runs directly
-on the router's dispatch thread and returns the engine's own arrays.
+The blocked column kernels spend their time inside scipy's sparse
+matmul and BLAS — C code that releases the GIL — so a pool of
+*threads*, each with its own engine over **one** shared in-process
+index, scales the column work with no transport at all: a shard runs
+directly on the router's dispatch thread and returns finished answers.
 
-This class duck-types :class:`~repro.cluster.WorkerPool` exactly where
-the router, the serving service, the observability bindings, and the
-status renderer touch it: ``size`` / ``started`` / ``current_seq`` /
-``_workers`` (with ``alive`` / ``respawns`` per worker), ``start`` /
-``prepare`` / ``commit`` / ``release`` / ``stop``, ``shard`` /
-``shard_tasks``, ``worker_status`` / ``describe`` /
-``transport_stats``.  Differences are deliberate:
-
-* ``persists_index`` is ``False`` — there is no per-generation index
-  file to mirror (every worker adopts the snapshot engine's exported
-  index in place, sharing its artifact arrays).
-* the chaos hooks (``kill_worker`` / ``hang_worker`` /
-  ``corrupt_next_reply``) *simulate* their process-backend twins at
-  the dispatch contract — a "killed" worker forgets its generations
-  (the next shard raises :class:`WorkerCrash` exactly like a dead
-  process), a "hung" one sleeps out ``shard_timeout`` before
-  crashing, a "corrupted" reply crashes immediately — so the scripted
-  chaos drills run unchanged on both backends. A thread cannot
-  actually be SIGKILLed, so ``kill_worker`` still refuses (with
-  :class:`ClusterError`) on a pool that was never started.
-* Each worker still owns a :class:`~repro.obs.MetricsRegistry` with
-  the same series names as a process worker, so the
+* ``prepare`` exports the snapshot engine's index once and has every
+  worker adopt it (shared artifact arrays, private column memos), so a
+  generation swap is O(1) per worker.
+* The chaos hooks (``kill_worker`` / ``hang_worker`` /
+  ``corrupt_next_reply``) simulate faults at the dispatch contract: a
+  "killed" worker forgets its generations (the next shard raises
+  :class:`WorkerCrash`), a "hung" one sleeps out ``shard_timeout``
+  before crashing, a "corrupted" reply crashes immediately. They
+  drive the router's breaker, respawn-and-retry and fallback paths.
+  A thread cannot be killed, so nothing bounds a kernel call that
+  genuinely hangs.
+* Each worker owns a :class:`~repro.obs.MetricsRegistry`, so the
   ``repro_shard_dispatch_seconds`` vs ``repro_worker_compute_seconds``
-  split — and :meth:`ShardRouter.collect_worker_metrics
-  <repro.cluster.ShardRouter.collect_worker_metrics>` — work
-  identically across backends.
+  split and :meth:`ShardRouter.collect_worker_metrics
+  <repro.cluster.ShardRouter.collect_worker_metrics>` report
+  per-worker series.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from time import perf_counter, sleep
 from typing import Any
 
-import numpy as np
+from repro.engine.results import run_tasks
 
-from repro.cluster.pool import ClusterError, WorkerCrash
+__all__ = ["ClusterError", "ThreadWorkerPool", "WorkerCrash"]
 
-__all__ = ["ThreadWorkerPool"]
+
+class ClusterError(RuntimeError):
+    """A cluster-level operation failed (prepare, dispatch, ...).
+
+    >>> from repro.cluster import ClusterError, WorkerCrash
+    >>> issubclass(WorkerCrash, ClusterError)
+    True
+    """
+
+
+class WorkerCrash(ClusterError):
+    """One worker crashed or hung while holding a shard.
+
+    Raised by :meth:`ThreadWorkerPool.shard_tasks` so the router can
+    respawn the worker and retry — callers of the serving API never
+    see it unless the retry budget is exhausted.
+
+    >>> from repro.cluster import WorkerCrash
+    >>> raise WorkerCrash("worker 2 crashed mid-shard")
+    Traceback (most recent call last):
+        ...
+    repro.cluster.thread_pool.WorkerCrash: worker 2 crashed mid-shard
+    """
 
 
 class _ThreadWorker:
-    """One thread-backend worker: a bundle of per-generation engines."""
+    """One worker: a bundle of per-generation engines."""
 
     __slots__ = (
         "index", "engines", "registry", "m_shards", "m_columns",
-        "m_compute", "shards_served", "respawns", "job_counter",
-        "columns_served", "tasks_served", "transport_bytes",
-        "compute_seconds", "transport_seconds", "ring_replies",
-        "pickle_replies", "task_replies", "lock",
-        "hang_until", "corrupt_next",
+        "m_compute", "shards_served", "respawns", "columns_served",
+        "tasks_served", "lock", "hang_until", "corrupt_next",
     )
-
-    #: a thread is alive as long as the pool is — there is no real
-    #: process to crash (chaos is simulated at the dispatch contract);
-    #: the attribute exists because status rendering and the obs
-    #: gauges read it off every worker
-    alive = property(lambda self: True)
 
     def __init__(self, index: int) -> None:
         from repro.obs import MetricsRegistry
@@ -75,35 +75,28 @@ class _ThreadWorker:
         self.engines: dict[int, Any] = {}
         self.shards_served = 0
         self.respawns = 0
-        self.job_counter = 0
         self.columns_served = 0
         self.tasks_served = 0
-        self.transport_bytes = 0
-        self.compute_seconds = 0.0
-        self.transport_seconds = 0.0
-        self.ring_replies = 0
-        self.pickle_replies = 0
-        self.task_replies = 0
         self.hang_until = 0.0
         self.corrupt_next = False
         self.lock = threading.Lock()
         self.registry = MetricsRegistry()
         self.m_shards = self.registry.counter(
             "repro_worker_shards_total",
-            "Column shards this worker served.",
+            "Shards this worker served.",
         )
         self.m_columns = self.registry.counter(
             "repro_worker_columns_served_total",
-            "Query columns this worker computed for shards.",
+            "Distinct query columns this worker computed for shards.",
         )
         self.m_compute = self.registry.histogram(
             "repro_worker_compute_seconds",
-            "Worker-side blocked column-walk time per shard.",
+            "Worker-side compute time per shard (column walk and "
+            "ranking).",
         )
         self.registry.counter_fn(
             "repro_worker_tasks_total",
-            "Selection tasks (worker-side top-k / score) this "
-            "worker ran.",
+            "Top-k / score tasks this worker answered.",
             lambda: self.tasks_served,
         )
         self.registry.gauge_fn(
@@ -116,31 +109,23 @@ class _ThreadWorker:
 class ThreadWorkerPool:
     """K thread-local engines over one shared in-process index.
 
-    Drop-in alternative to :class:`~repro.cluster.WorkerPool` for the
-    :class:`~repro.cluster.ShardRouter` (``backend="thread"`` on
-    :class:`~repro.serve.ServingService`). ``prepare`` exports the
-    snapshot engine's index once and has every worker adopt it —
-    the artifact arrays are shared, only the per-engine memo state is
-    private — so a generation swap is O(1) per worker and a shard
-    dispatch is a plain method call on the router's shard thread.
+    The worker pool behind :class:`~repro.cluster.ShardRouter`
+    (``ServingService(workers=K)``). ``prepare`` exports the snapshot
+    engine's index once and has every worker adopt it — the artifact
+    arrays are shared, only the per-engine memo state is private — so
+    a generation swap is O(1) per worker and a shard dispatch is a
+    plain method call on the router's shard thread.
 
-    Construction is inert, exactly like the process pool:
+    Construction is inert:
 
     >>> from repro.cluster import ThreadWorkerPool
     >>> pool = ThreadWorkerPool(workers=4)
-    >>> pool.size, pool.started, pool.backend, pool.persists_index
-    (4, False, 'thread', False)
+    >>> pool.size, pool.started
+    (4, False)
     """
 
-    backend = "thread"
-    persists_index = False
-
     def __init__(
-        self,
-        *,
-        workers: int = 2,
-        shard_timeout: float = 120.0,
-        **_compat: Any,
+        self, *, workers: int = 2, shard_timeout: float = 120.0
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -155,8 +140,6 @@ class ThreadWorkerPool:
         self.current_seq = -1
         self.started = False
         self.releases = 0
-        self.index_saves = 0
-        self.delta_generations = 0
 
     # ------------------------------------------------------------------
     # lifecycle + generations
@@ -170,8 +153,8 @@ class ThreadWorkerPool:
         self.prepare(snapshot)
         self.commit(snapshot.seq)
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Drop every engine (idempotent; threads die with the pool)."""
+    def stop(self) -> None:
+        """Drop every engine (idempotent)."""
         if not self.started:
             return
         self.started = False
@@ -181,32 +164,31 @@ class ThreadWorkerPool:
             self._sources.clear()
         self.current_seq = -1
 
-    def prepare(self, snapshot) -> list[dict]:
+    def prepare(self, snapshot) -> None:
         """Phase one: every worker adopts ``snapshot``'s index.
 
         The export is computed once; each worker's
         ``SimilarityEngine.from_index`` adoption shares the artifact
         arrays (transition CSR, factors, walk segments) and keeps only
-        the column memo private — the per-thread engines over one
-        in-process index the backend exists for.
+        the column memo private. Every engine is built before any is
+        installed, so a failed prepare leaves no worker — and no later
+        respawn — holding the aborted generation.
         """
         if not self.started:
-            return []
+            return
         from repro.engine.engine import SimilarityEngine
 
         index = snapshot.engine.export_index()
         graph = snapshot.graph
         config = snapshot.engine.config
+        engines = [
+            SimilarityEngine.from_index(index, graph, config)
+            for _ in self._workers
+        ]
         with self._lock:
             self._sources[snapshot.seq] = (index, graph, config)
-        infos = []
-        for worker in self._workers:
-            engine = SimilarityEngine.from_index(index, graph, config)
+        for worker, engine in zip(self._workers, engines):
             worker.engines[snapshot.seq] = engine
-            infos.append(
-                {"adopted": True, "rebuilt": False, "delta": False}
-            )
-        return infos
 
     def commit(self, seq: int) -> None:
         """Phase two: mark ``seq`` current (pure bookkeeping)."""
@@ -239,35 +221,30 @@ class ThreadWorkerPool:
         }
         worker.respawns += 1
 
-    def kill_worker(self, worker_index: int) -> int:
+    # ------------------------------------------------------------------
+    # chaos hooks
+    # ------------------------------------------------------------------
+    def kill_worker(self, worker_index: int) -> None:
         """Simulate one worker's crash (chaos hook).
 
-        A thread cannot be SIGKILLed, so the crash is simulated at
-        the dispatch contract: the worker forgets every generation,
-        and the next shard routed at it raises
-        :class:`~repro.cluster.WorkerCrash` exactly like a dead
-        process — recovered by the router's respawn-and-retry, same
-        as the process backend. Refuses on a pool that was never
-        started (there are no worker processes, simulated or real).
+        The worker forgets every generation, and the next shard
+        routed at it raises :class:`WorkerCrash` — recovered by the
+        router's respawn-and-retry. Refuses on a pool that was never
+        started.
         """
         if not self.started:
             raise ClusterError(
-                "thread backend has no worker processes to kill "
-                "before start(); chaos drills need a started pool"
+                "pool has no workers to kill before start(); chaos "
+                "drills need a started pool"
             )
-        worker = self._workers[worker_index]
-        worker.engines = {}
-        return os.getpid()
+        self._workers[worker_index].engines = {}
 
     def hang_worker(self, worker_index: int, seconds: float) -> None:
         """Simulate one worker wedging for ``seconds`` (chaos hook).
 
-        The next shard routed at the worker sleeps like a dispatch
-        waiting on a stuck process: if the hang outlives
-        ``shard_timeout`` it raises
-        :class:`~repro.cluster.WorkerCrash` after the timeout (the
-        process backend would have killed the worker); a shorter hang
-        just delays the shard.
+        The next shard routed at the worker sleeps: a hang that
+        outlives ``shard_timeout`` raises :class:`WorkerCrash` after
+        sleeping the timeout; a shorter one just delays the shard.
         """
         if not self.started:
             raise ClusterError("pool not started")
@@ -277,9 +254,8 @@ class ThreadWorkerPool:
     def corrupt_next_reply(self, worker_index: int) -> None:
         """Poison one worker's next shard reply (chaos hook).
 
-        The next shard raises :class:`~repro.cluster.WorkerCrash`
-        immediately — the thread twin of the process backend's
-        desynchronised-connection detection.
+        The next shard routed at the worker raises
+        :class:`WorkerCrash` immediately.
         """
         if not self.started:
             raise ClusterError("pool not started")
@@ -293,13 +269,11 @@ class ThreadWorkerPool:
             worker.corrupt_next = False
             raise WorkerCrash(
                 f"worker {worker.index} returned a corrupted reply "
-                "(chaos hook): desynchronised connection"
+                "(chaos hook)"
             )
         if worker.hang_until:
             remaining = worker.hang_until - perf_counter()
             if remaining >= self.shard_timeout:
-                # the process backend would wait out shard_timeout,
-                # kill the worker, and declare the shard crashed
                 sleep(self.shard_timeout)
                 worker.hang_until = 0.0
                 raise WorkerCrash(
@@ -317,29 +291,6 @@ class ThreadWorkerPool:
             )
         return engine
 
-    def shard(
-        self,
-        worker_index: int,
-        seq: int,
-        ids: list[int],
-        *,
-        trace_ids: list[str] | None = None,
-        meta: dict | None = None,
-    ) -> dict:
-        """One column shard, computed in-place on the calling thread."""
-        worker = self._workers[worker_index]
-        engine = self._engine(worker, seq)
-        t0 = perf_counter()
-        columns = engine.columns(ids)
-        compute_s = perf_counter() - t0
-        payload = {
-            int(q): np.asarray(col) for q, col in columns.items()
-        }
-        self._account(
-            worker, compute_s, len(ids), 0, trace_ids, meta, "inproc"
-        )
-        return payload
-
     def shard_tasks(
         self,
         worker_index: int,
@@ -349,131 +300,63 @@ class ThreadWorkerPool:
         trace_ids: list[str] | None = None,
         meta: dict | None = None,
     ) -> list:
-        """Selection tasks, same contract as the process pool's."""
-        from repro.cluster.worker import run_tasks
+        """Answer one shard of tasks on the calling thread.
 
+        Returns :func:`~repro.engine.results.run_tasks`'s per-task
+        results from this worker's engine for generation ``seq``;
+        ``meta``, when given, gets the batch's ``trace_ids`` echoed
+        back.
+        """
         worker = self._workers[worker_index]
         engine = self._engine(worker, seq)
         t0 = perf_counter()
-        results, ncols = run_tasks(engine, tasks)
+        results = run_tasks(engine, tasks)
         compute_s = perf_counter() - t0
-        with worker.lock:
-            worker.tasks_served += len(tasks)
-            worker.task_replies += 1
-        self._account(
-            worker, compute_s, ncols, 0, trace_ids, meta, "inproc"
-        )
-        return results
-
-    def _account(
-        self, worker, compute_s, ncols, payload_bytes, trace_ids,
-        meta, path,
-    ) -> None:
+        columns = len({int(t["query"]) for t in tasks})
         with worker.lock:
             worker.shards_served += 1
-            worker.columns_served += ncols
-            worker.compute_seconds += compute_s
-            worker.transport_bytes += payload_bytes
+            worker.tasks_served += len(tasks)
+            worker.columns_served += columns
             worker.m_shards.inc()
-            worker.m_columns.inc(ncols)
+            worker.m_columns.inc(columns)
             worker.m_compute.observe(compute_s)
-        if meta is not None:
-            meta.update({
-                "pid": os.getpid(),
-                "compute_seconds": compute_s,
-                "payload_bytes": payload_bytes,
-                "path": path,
-            })
-            if trace_ids is not None:
-                meta["trace_ids"] = list(trace_ids)
+        if meta is not None and trace_ids is not None:
+            meta["trace_ids"] = list(trace_ids)
+        return results
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def worker_status(
-        self,
-        timeout: float = 5.0,
-        busy_wait: float = 0.5,
-        *,
-        strip_metrics: bool = True,
-    ) -> list[dict]:
-        """Per-worker status, shaped like the process pool's."""
+    def worker_status(self, *, strip_metrics: bool = True) -> list[dict]:
+        """Per-worker status (``metrics`` snapshots unless stripped)."""
         out = []
         for worker in self._workers:
             entry = {
                 "index": worker.index,
-                "pid": os.getpid(),
                 "alive": self.started,
-                "busy": False,
                 "shards_served": worker.shards_served,
                 "respawns": worker.respawns,
                 "current_seq": self.current_seq,
                 "generations": sorted(worker.engines),
                 "columns_served": worker.columns_served,
                 "tasks_served": worker.tasks_served,
-                "prepare_rebuilds": 0,
-                "delta_prepares": 0,
-                "ring": None,
-                "ring_writes": 0,
-                "ring_fallbacks": 0,
-                "transport_bytes": worker.transport_bytes,
             }
             if not strip_metrics:
                 entry["metrics"] = worker.registry.snapshot()
             out.append(entry)
         return out
 
-    def transport_stats(self) -> dict:
-        """Transport accounting — trivially all-zero: no transport."""
-        return {
-            "mode": "inproc",
-            "ring_slots": 0,
-            "ring_slot_bytes": 0,
-            "ring_bytes_per_worker": 0,
-            "ring_allocations": 0,
-            "ring_unavailable": False,
-            "ring_replies": 0,
-            "pickle_replies": 0,
-            "task_replies": sum(
-                w.task_replies for w in self._workers
-            ),
-            "transport_bytes": 0,
-            "compute_seconds": sum(
-                w.compute_seconds for w in self._workers
-            ),
-            "transport_seconds": 0.0,
-            "per_worker": [
-                {
-                    "index": w.index,
-                    "ring_replies": 0,
-                    "pickle_replies": 0,
-                    "task_replies": w.task_replies,
-                    "transport_bytes": 0,
-                    "compute_seconds": w.compute_seconds,
-                    "transport_seconds": 0.0,
-                }
-                for w in self._workers
-            ],
-        }
-
     def describe(self) -> dict:
-        """JSON-ready pool state, shaped like the process pool's."""
+        """JSON-ready pool state (the ``/status`` ``pool`` section)."""
         with self._lock:
             generations = sorted(self._sources)
         return {
             "workers": self.size,
-            "backend": self.backend,
             "started": self.started,
             "current_seq": self.current_seq,
             "generations": generations,
-            "delta_generations": [],
-            "parked": [],
-            "delta_registered": 0,
-            "index_dir": None,
-            "index_saves": self.index_saves,
             "releases": self.releases,
             "respawns": sum(w.respawns for w in self._workers),
-            "transport": self.transport_stats(),
         }
 
     def __repr__(self) -> str:

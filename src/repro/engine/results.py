@@ -9,6 +9,8 @@
 * :class:`ScoreMatrix` — an ``(n, n)`` score array that can be indexed
   by node labels and sliced into rankings. ``np.asarray`` passes
   through, so numerical code treats it as the underlying array.
+* :func:`run_tasks` — answer a batch of top-k / pair-score requests
+  against one engine: the single answer path of the serving layer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["RankedNode", "Ranking", "ScoreMatrix"]
+__all__ = ["RankedNode", "Ranking", "ScoreMatrix", "run_tasks"]
 
 
 class RankedNode(tuple):
@@ -356,3 +358,56 @@ class ScoreMatrix:
         tag = f", measure={self.measure!r}" if self.measure else ""
         lab = ", labelled" if self._labels is not None else ""
         return f"ScoreMatrix(shape={self.values.shape}{tag}{lab})"
+
+
+def run_tasks(engine, tasks) -> list:
+    """Answer selection *tasks* against *engine*, one result per task.
+
+    Each task is ``{"op": "top_k", "query": q, "k": k,
+    "include_query": bool}`` or ``{"op": "score", "query": q, "u": u}``
+    with node ids already resolved. The distinct queries share one
+    blocked :meth:`~repro.engine.SimilarityEngine.columns` call; each
+    task then becomes a finished :class:`Ranking` (labels and measure
+    attached) or a float score. A task that fails on its own terms
+    (e.g. a negative ``k``) yields its exception in its slot instead
+    of failing the whole batch.
+
+    >>> from repro.engine import SimilarityConfig, SimilarityEngine
+    >>> from repro.graph import figure1_citation_graph
+    >>> engine = SimilarityEngine(
+    ...     figure1_citation_graph(), SimilarityConfig(measure="gSR*"))
+    >>> ranking, score, bad = run_tasks(engine, [
+    ...     {"op": "top_k", "query": 0, "k": 2},
+    ...     {"op": "score", "query": 0, "u": 1},
+    ...     {"op": "top_k", "query": 0, "k": -1},
+    ... ])
+    >>> ranking.to_pairs() == engine.top_k(0, k=2).to_pairs()
+    True
+    >>> ranking.measure, ranking.query_label
+    ('gSR*', 'a')
+    >>> score == engine.score(1, 0), type(bad).__name__
+    (True, 'ValueError')
+    """
+    columns = engine.columns(
+        list(dict.fromkeys(int(t["query"]) for t in tasks))
+    )
+    labels = engine.graph.labels
+    measure = engine.measure.name
+    results: list = []
+    for task in tasks:
+        query = int(task["query"])
+        try:
+            if task["op"] == "score":
+                results.append(float(columns[query][int(task["u"])]))
+            else:
+                results.append(Ranking.from_scores(
+                    columns[query],
+                    query=query,
+                    k=int(task["k"]),
+                    labels=labels,
+                    include_query=bool(task.get("include_query", False)),
+                    measure=measure,
+                ))
+        except Exception as exc:  # noqa: BLE001 - per-task isolation
+            results.append(exc)
+    return results

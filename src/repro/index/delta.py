@@ -31,8 +31,8 @@ the parity suite asserts and the bench ``--mutate`` tier gates.
 Mutations persist as ``delta-<seq>.simidx`` segments: the shared
 container format (checksummed array table) carrying only the edge
 edits plus chain fingerprints — the digest of the base generation they
-apply to and of the generation they produce. Cluster workers mmap the
-base once and apply deltas on top, so a two-phase swap ships only the
+apply to and of the generation they produce. A restart maps the base
+once and applies the deltas on top, so a mutation writes only the
 delta.
 """
 

@@ -19,7 +19,7 @@ zip container — it inflates them onto the heap. This layout keeps
 every buffer page-aligned inside one flat file, so ``mmap=True`` loads
 are zero-copy: the CSR ``data`` / ``indices`` / ``indptr`` buffers and
 the coefficient table are read-only :class:`numpy.memmap` views, N
-worker processes mapping the same index share one page cache, and
+processes mapping the same index share one page cache, and
 bytes are only faulted in when a query actually touches them.
 
 Corruption is rejected loudly: bad magic, an unsupported format

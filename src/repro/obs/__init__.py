@@ -5,8 +5,8 @@ The observability layer of the serving stack (PR 8). Three pieces:
 * :mod:`repro.obs.metrics` — a zero-dependency
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
   histograms with a Prometheus text exposition (served at
-  ``/metrics``), plus idempotent cross-process snapshot merging for
-  the worker pool.
+  ``/metrics``), plus idempotent snapshot merging for the per-worker
+  registries.
 * :mod:`repro.obs.trace` — per-request :class:`Trace` span timelines
   (``coalesce -> dispatch -> compute -> render``) and the bounded,
   rotated JSON-lines :class:`SlowQueryLog`.
@@ -14,7 +14,7 @@ The observability layer of the serving stack (PR 8). Three pieces:
   :class:`~repro.serve.ServingService` owns: it creates the hot-path
   instruments the broker/router/snapshot manager write into, registers
   pull-time callback series over the existing stats objects, and
-  merges worker-side metric snapshots shipped back on ping.
+  merges the worker-side metric snapshots.
 
 Instrumentation is opt-out (``ServingService(telemetry=False)``): the
 :class:`NullObservability` variant exposes the same attribute surface
@@ -109,7 +109,6 @@ class NullObservability:
         self.batch_size = _NOOP
         self.render_seconds = _NOOP
         self.shard_dispatch = _NOOP
-        self.transport_bytes = _NOOP
         self.swap_stage = _NOOP
 
     def start_trace(self, kind: str):
@@ -216,7 +215,8 @@ class Observability:
         )
         self.batch_compute = registry.histogram(
             "repro_batch_compute_seconds",
-            "Blocked column-walk time per dispatched micro-batch.",
+            "Compute time per dispatched micro-batch (blocked "
+            "column walk and ranking).",
         )
         self.batch_size = registry.histogram(
             "repro_batch_size",
@@ -225,21 +225,13 @@ class Observability:
         )
         self.render_seconds = registry.histogram(
             "repro_render_seconds",
-            "Result rendering time per request (ranking/score "
-            "construction).",
+            "Per-request time after compute: result-cache insert "
+            "and answer hand-off (ranking runs inside compute).",
         )
         self.shard_dispatch = registry.histogram(
             "repro_shard_dispatch_seconds",
-            "Round-trip time per shard dispatched to a worker "
-            "process.",
+            "Time per shard dispatched to a worker thread.",
             labelnames=("worker",),
-        )
-        self.transport_bytes = registry.counter(
-            "repro_transport_bytes_total",
-            "Bytes that crossed the worker pipe per shard reply, by "
-            "transport path (shm descriptor, pickle block, task "
-            "results, in-process).",
-            labelnames=("path",),
         )
         self.swap_stage = registry.histogram(
             "repro_swap_stage_seconds",
@@ -444,19 +436,12 @@ class Observability:
                 )
             registry.gauge_fn(
                 "repro_cluster_workers",
-                "Configured worker processes.",
+                "Configured worker threads.",
                 lambda: router.pool.size,
-            )
-            registry.gauge_fn(
-                "repro_cluster_workers_alive",
-                "Worker processes currently alive.",
-                lambda: sum(
-                    1 for w in router.pool._workers if w.alive
-                ),
             )
             registry.counter_fn(
                 "repro_cluster_respawns_total",
-                "Worker processes respawned after death.",
+                "Workers respawned after a crash.",
                 lambda: sum(
                     w.respawns for w in router.pool._workers
                 ),
@@ -465,49 +450,6 @@ class Observability:
                 "repro_cluster_releases_total",
                 "Generations released after draining.",
                 lambda: router.pool.releases,
-            )
-            for field, help_text in (
-                ("ring_replies",
-                 "Shard replies returned through shared-memory "
-                 "rings."),
-                ("pickle_replies",
-                 "Shard replies that fell back to pickled blocks."),
-                ("task_replies",
-                 "Shard replies carrying worker-side top-k/score "
-                 "results."),
-                ("transport_bytes",
-                 "Bytes that crossed the worker pipe "
-                 "(parent-side accounting)."),
-            ):
-                registry.counter_fn(
-                    f"repro_cluster_{field}_total",
-                    help_text,
-                    (lambda f=field: sum(
-                        getattr(w, f, 0) for w in router.pool._workers
-                    )),
-                )
-            for field, help_text in (
-                ("compute_seconds",
-                 "Cumulative worker-reported shard compute time."),
-                ("transport_seconds",
-                 "Cumulative shard round-trip time minus compute — "
-                 "the transport share."),
-            ):
-                registry.gauge_fn(
-                    f"repro_cluster_{field}",
-                    help_text,
-                    (lambda f=field: sum(
-                        getattr(w, f, 0.0)
-                        for w in router.pool._workers
-                    )),
-                )
-            registry.gauge_fn(
-                "repro_cluster_ring_bytes",
-                "Shared-memory ring bytes mapped per worker "
-                "(0 for thread/pickle transports).",
-                lambda: router.pool.transport_stats().get(
-                    "ring_bytes_per_worker", 0
-                ),
             )
             breakers = router.breakers
             for field, help_text in (

@@ -3,8 +3,8 @@
 A :class:`Trace` is one request's timeline: a short hex id plus a list
 of :class:`Span` rows (``coalesce`` — time spent waiting for the
 micro-batch to fill, ``dispatch``/``shard`` — router fan-out across
-worker processes, ``compute`` — the blocked kernel walk, ``render`` —
-ranking construction). Spans are plain ``__slots__`` rows; recording
+worker threads, ``compute`` — the blocked kernel walk and ranking,
+``render`` — caching and resolving the answer). Spans are plain ``__slots__`` rows; recording
 one is an attribute store and a list append, cheap enough for every
 request on the hot path.
 

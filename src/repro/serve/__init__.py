@@ -22,8 +22,8 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
 * :class:`ServingService` — the facade wiring the three together,
   usable async-natively or from sync threads via a private
   background event loop. ``ServingService(graph, workers=K)`` scales
-  out: batches are sharded across a :mod:`repro.cluster` worker pool
-  whose processes memory-map one shared index.
+  out: batches are sharded across a :mod:`repro.cluster` pool of
+  worker threads sharing one in-process index.
 * :func:`serve_http` / :class:`SimilarityHTTPServer` — a stdlib
   HTTP/JSON front end; ``python -m repro.serve`` is the CLI
   (``serve`` / ``warmup`` / ``status`` / ``smoke`` / ``chaos``).

@@ -6,7 +6,7 @@ Subcommands::
              or the paper's Figure 1 graph); ``--index PATH`` wires a
              persistent precomputation index for near-zero restarts,
              ``--workers K`` shards every micro-batch across K worker
-             processes sharing that index (repro.cluster)
+             threads sharing one in-process index (repro.cluster)
     status   GET /status from a running server and summarise its
              cache / engine / broker / cluster / index counters
              (--json for raw)
@@ -17,7 +17,7 @@ Subcommands::
     smoke    self-contained serving smoke test: ephemeral server,
              concurrent clients, assert coalescing, write a latency
              histogram (the CI job); ``--workers`` /
-             ``--mutate-mid-run`` turn it into the full multi-process
+             ``--mutate-mid-run`` turn it into the full multi-worker
              hot-swap drill, ``--mutate-stream N`` streams N
              single-edge mutations under load and asserts they all
              swapped through the O(delta) incremental path; the run
@@ -42,8 +42,7 @@ Examples::
     python -m repro.serve smoke --clients 64 --output smoke.json
     python -m repro.serve smoke --workers 2 --mutate-mid-run
     python -m repro.serve smoke --workers 2 --mutate-stream 6
-    python -m repro.serve chaos --backend process --workers 2
-    python -m repro.serve chaos --backend thread --clients 32
+    python -m repro.serve chaos --workers 2 --clients 32
 
 Every subcommand and flag is documented in ``docs/operations.md``
 (cross-checked against these parsers by ``tests/test_docs.py``).
@@ -95,44 +94,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes sharing one mmap'd index "
-        "(repro.cluster); 0 = serve in-process (default)",
-    )
-    parser.add_argument(
-        "--backend", choices=("process", "thread"), default="process",
-        help="cluster backend (with --workers): 'process' (default) "
-        "forks worker processes sharing one mmap'd index, 'thread' "
-        "runs per-thread engines adopting one in-process index — "
-        "zero transport, scales when the kernels release the GIL",
+        help="worker threads, each with its own engine over one "
+        "shared in-process index (repro.cluster); 0 = answer on the "
+        "broker's executor thread (default)",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=120.0,
-        help="seconds before a hung worker is killed and its shard "
-        "retried (cluster mode only; default 120)",
-    )
-    parser.add_argument(
-        "--transport", choices=("shm", "pickle"), default="shm",
-        help="process-backend shard transport: 'shm' (default) "
-        "returns results through per-worker shared-memory rings "
-        "(only a tiny descriptor crosses the pipe), 'pickle' forces "
-        "the classic pickled blocks",
-    )
-    parser.add_argument(
-        "--ring-slots", type=int, default=2,
-        help="slots per shared-memory result ring (default 2: "
-        "double buffering)",
-    )
-    parser.add_argument(
-        "--ring-mb", type=float, default=64.0,
-        help="per-slot shared-memory cap in MiB (default 64); "
-        "blocks that do not fit fall back to pickle, counted in "
-        "/status",
-    )
-    parser.add_argument(
-        "--no-worker-topk", action="store_true",
-        help="disable worker-side top-k selection and ship full "
-        "(n, B) score columns to the parent instead of (k, B) "
-        "ids+scores (cluster mode only)",
+        help="seconds a chaos-simulated hung worker sleeps before its "
+        "shard counts as crashed and is retried; a thread cannot be "
+        "killed, so this bounds nothing else (cluster mode only; "
+        "default 120)",
     )
     parser.add_argument(
         "--delta-mode", choices=("auto", "off"), default="auto",
@@ -213,12 +184,7 @@ def _build_service(args) -> ServingService:
         cache_entries=args.cache_entries,
         index_path=getattr(args, "index", None),
         workers=args.workers,
-        backend=args.backend,
         shard_timeout=args.shard_timeout,
-        transport=args.transport,
-        ring_slots=args.ring_slots,
-        ring_mb=args.ring_mb,
-        worker_topk=not args.no_worker_topk,
         delta_mode=args.delta_mode,
         max_delta_fraction=args.max_delta_fraction,
         max_chain_depth=args.max_chain_depth,
@@ -374,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "auto-rollback",
     )
     chaos.add_argument(
-        "--backend", choices=("process", "thread"), default="process",
-        help="cluster backend to attack (default process)",
-    )
-    chaos.add_argument(
         "--workers", type=int, default=2,
         help="workers in the attacked pool (default 2)",
     )
@@ -403,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--shard-timeout", type=float, default=1.0,
-        help="seconds before a hung worker is declared dead "
-        "(default 1.0 — short, so the hang wave recovers quickly)",
+        help="seconds the simulated hung worker sleeps before its "
+        "shard counts as crashed (default 1.0 — short, so the hang "
+        "wave recovers quickly)",
     )
     chaos.add_argument(
         "--breaker-cooldown-s", type=float, default=0.4,
@@ -439,7 +402,7 @@ def _cmd_serve(args) -> int:
     )
     snapshot = service.snapshots.current
     mode = (
-        f"{args.workers} {args.backend} workers" if args.workers
+        f"{args.workers} worker threads" if args.workers
         else "in-process"
     )
     print(
@@ -572,35 +535,12 @@ def render_status(document: dict) -> str:
         )
         lines.append(
             f"cluster       workers={pool.get('workers', 0)} "
-            f"(alive={alive}) backend={pool.get('backend', 'process')} "
+            f"(alive={alive}) "
             f"seq={pool.get('current_seq', 0)} "
             f"shards={cluster.get('shards_dispatched', 0)} "
             f"retries={cluster.get('shard_retries', 0)} "
             f"respawns={pool.get('respawns', 0)}"
         )
-        transport = pool.get("transport") or {}
-        if transport:
-            lines.append(
-                f"transport     mode={transport.get('mode', '?')} "
-                f"ring_bytes={transport.get('ring_bytes_per_worker', 0)}"
-                f"/worker replies: "
-                f"shm={transport.get('ring_replies', 0)} "
-                f"pickle={transport.get('pickle_replies', 0)} "
-                f"tasks={transport.get('task_replies', 0)}; "
-                f"bytes={transport.get('transport_bytes', 0)}"
-            )
-            for row in transport.get("per_worker", ()):
-                compute = row.get("compute_seconds", 0.0)
-                shuttle = row.get("transport_seconds", 0.0)
-                busy = compute + shuttle
-                share = shuttle / busy if busy > 0 else 0.0
-                lines.append(
-                    f"  worker {row.get('index', '?')}   "
-                    f"compute={compute * 1e3:.1f} ms "
-                    f"transport={shuttle * 1e3:.1f} ms "
-                    f"(transport share {share:.1%}) "
-                    f"bytes={row.get('transport_bytes', 0)}"
-                )
     else:
         lines.append("cluster       in-process (workers=0)")
     if index.get("path"):
@@ -723,7 +663,7 @@ def _cmd_smoke(args) -> int:
         f"smoke: {args.clients} clients x "
         f"{args.requests_per_client} requests against {url} "
         + (
-            f"({args.workers} {args.backend} workers)" if args.workers
+            f"({args.workers} worker threads)" if args.workers
             else "(in-process)"
         ),
         flush=True,
@@ -944,13 +884,12 @@ def _cmd_chaos(args) -> int:
     from repro.serve.chaos import run_drill
 
     print(
-        f"chaos drill: {args.workers} {args.backend} workers, "
+        f"chaos drill: {args.workers} worker threads, "
         f"{args.clients} clients x {args.requests_per_client} "
         "requests per wave (kill / hang / corrupt / bad green)",
         flush=True,
     )
     report = run_drill(
-        backend=args.backend,
         workers=args.workers,
         clients=args.clients,
         requests_per_client=args.requests_per_client,

@@ -7,9 +7,9 @@ more than one. The broker closes that gap: requests land on an
 ``asyncio.Queue``; a single dispatcher task takes the first request,
 then keeps collecting until either ``max_batch`` requests are in hand
 or ``max_wait_ms`` has elapsed since the first one, and dispatches the
-whole micro-batch through one
-:meth:`~repro.engine.SimilarityEngine.columns` call (one blocked
-walk). While a batch computes in the executor, new arrivals pile up on
+whole micro-batch through one :func:`~repro.engine.results.run_tasks`
+call (one blocked column walk, then ranking). While a batch computes
+in the executor, new arrivals pile up on
 the queue, so sustained load coalesces even harder — classic
 backpressure batching, as in index-serving systems built on
 shared-precomputation similarity search (SLING-style serving).
@@ -26,11 +26,10 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any
 
 import numpy as np
 
-from repro.engine.results import RankedNode, Ranking
+from repro.engine.results import Ranking, run_tasks
 from repro.serve.cache import ResultCache
 from repro.serve.guard import DeadlineExceeded, Overloaded
 from repro.serve.snapshot import Snapshot, SnapshotManager
@@ -153,12 +152,12 @@ class QueryBroker:
         free of telemetry work.
     router:
         Optional :class:`~repro.cluster.ShardRouter`. When set, each
-        batch's columns are computed by the router's worker processes
-        (sharded across them) instead of the in-process engine; the
-        snapshot pin goes through the router so a concurrent hot-swap
-        can never release a generation a dispatched batch still
-        needs. Node resolution and result rendering stay in the
-        parent either way.
+        batch's tasks are answered by the router's worker threads
+        (sharded across them) instead of the snapshot's own engine;
+        the snapshot pin goes through the router so a concurrent
+        hot-swap can never release a generation a dispatched batch
+        still needs. Either way the answers come from
+        :func:`~repro.engine.results.run_tasks`.
 
     Examples
     --------
@@ -567,52 +566,37 @@ class QueryBroker:
                         batch=size,
                     )
 
-        work: list[tuple[_Request, int, int | None]] = []
+        work: list[_Request] = []
+        tasks: list[dict] = []
         for request in batch:
             try:
-                node = engine.resolve_node(request.node)
-                extra = (
-                    engine.resolve_node(request.u)
-                    if request.kind == "score"
-                    else None
-                )
+                query = engine.resolve_node(request.node)
+                if request.kind == "score":
+                    task = {
+                        "op": "score",
+                        "query": query,
+                        "u": engine.resolve_node(request.u),
+                    }
+                else:
+                    task = {
+                        "op": "top_k",
+                        "query": query,
+                        "k": request.k,
+                        "include_query": request.include_query,
+                    }
             except Exception as exc:
                 self._fail_request(request, exc, side=canary_side)
                 continue
-            work.append((request, node, extra))
+            work.append(request)
+            tasks.append(task)
         if not work:
             return
 
-        ids = [node for _, node, _ in work]
-        # worker-side top-k: ship selection tasks, not column
-        # requests — the workers run the exact parent ranking
-        # algorithm and only (k, B) ids+scores cross the pipe
-        task_mode = self._router is not None and getattr(
-            self._router, "worker_topk", False
-        )
-        tasks: list[dict] | None = None
-        if task_mode:
-            tasks = [
-                {
-                    "op": "score",
-                    "query": node,
-                    "u": extra,
-                }
-                if request.kind == "score"
-                else {
-                    "op": "top_k",
-                    "query": node,
-                    "k": request.k,
-                    "include_query": request.include_query,
-                }
-                for request, node, extra in work
-            ]
         shard_meta = None
         if self._router is not None and obs.enabled:
             shard_meta = {
                 "trace_ids": [
-                    r.trace.trace_id for r, _, _ in work
-                    if r.trace is not None
+                    r.trace.trace_id for r in work if r.trace is not None
                 ],
             }
 
@@ -620,7 +604,7 @@ class QueryBroker:
 
         def timed_compute():
             # runs on the executor thread: times the blocked column
-            # work itself, separate from the executor hop around it
+            # work and ranking, separate from the executor hop
             t0 = perf_counter()
             if (
                 canary_side == "green"
@@ -631,27 +615,23 @@ class QueryBroker:
                 # exactly where a genuinely broken new generation
                 # would fail its batches
                 canary.inject_green_fault()
-            if task_mode:
-                cols = self._router.compute_tasks(
+            if self._router is not None:
+                results = self._router.compute_tasks(
                     snapshot.seq, tasks, meta=shard_meta
                 )
-            elif self._router is not None:
-                cols = self._router.compute(
-                    snapshot.seq, ids, meta=shard_meta
-                )
             else:
-                cols = engine.columns(ids)
-            return cols, t0, perf_counter() - t0
+                results = run_tasks(engine, tasks)
+            return results, t0, perf_counter() - t0
 
         t_dispatch = perf_counter()
         try:
-            columns, t_compute, compute_s = (
+            results, t_compute, compute_s = (
                 await asyncio.get_running_loop().run_in_executor(
                     None, timed_compute
                 )
             )
         except Exception as exc:
-            for request, _, _ in work:
+            for request in work:
                 self._fail_request(request, exc, side=canary_side)
             return
         dispatch_s = perf_counter() - t_dispatch
@@ -667,7 +647,7 @@ class QueryBroker:
             shards = (
                 shard_meta.get("shards", ()) if shard_meta else ()
             )
-            for request, _, _ in work:
+            for request in work:
                 trace = request.trace
                 if trace is None:
                     continue
@@ -675,7 +655,7 @@ class QueryBroker:
                     "dispatch",
                     dispatch_s,
                     start_s=t_dispatch,
-                    batch=len(ids),
+                    batch=len(tasks),
                     mode=mode,
                 )
                 for shard in shards:
@@ -684,11 +664,9 @@ class QueryBroker:
                         shard.get("seconds", 0.0),
                         start_s=shard.get("start_s", t_compute),
                         worker=shard.get("worker"),
-                        pid=shard.get("pid"),
                         ids=shard.get("ids"),
-                        # the worker echoed the batch's trace ids back
-                        # over the pipe; True proves this request's id
-                        # crossed the process boundary and returned
+                        # the worker echoed the batch's trace ids: True
+                        # proves this request's shard reached a worker
                         echoed=trace.trace_id
                         in shard.get("trace_ids", ()),
                     )
@@ -696,11 +674,10 @@ class QueryBroker:
                     "compute",
                     compute_s,
                     start_s=t_compute,
-                    batch=len(ids),
+                    batch=len(tasks),
                 )
 
-        labels = engine.graph.labels
-        for position, (request, node, extra) in enumerate(work):
+        for request, result in zip(work, results):
             # deadline checkpoint two: the compute may have outlived a
             # member's deadline — answer it DeadlineExceeded instead
             # of a stale result, and keep rendering its peers
@@ -710,27 +687,14 @@ class QueryBroker:
             ):
                 self._expire_request(request)
                 continue
-            # per-request: a render failure (bad k, exotic payload)
-            # fails its own future only — the dispatcher and the rest
-            # of the batch must survive any single request
+            # per-request: a failed task (bad k, exotic payload) fails
+            # its own future only — the dispatcher and the rest of the
+            # batch must survive any single request
+            if isinstance(result, Exception):
+                self._fail_request(request, result, side=canary_side)
+                continue
             try:
                 t_render = perf_counter()
-                result: Any
-                if task_mode:
-                    result = self._render_task_result(
-                        columns[position], node, engine, labels
-                    )
-                elif request.kind == "top_k":
-                    result = Ranking.from_scores(
-                        columns[node],
-                        query=node,
-                        k=request.k,
-                        labels=labels,
-                        include_query=request.include_query,
-                        measure=engine.measure.name,
-                    )
-                else:
-                    result = float(columns[node][extra])
                 if self._cache is not None:
                     self._cache.put(
                         request.cache_key(snapshot, self._config_key),
@@ -755,36 +719,3 @@ class QueryBroker:
                 obs.finish_trace(request.trace, "ok")
             if not request.future.done():
                 request.future.set_result(result)
-
-    def _render_task_result(self, item, node, engine, labels):
-        """A full result from one worker-side task reply.
-
-        Workers ship ranked node ids and scores but never labels —
-        the parent holds the identical graph, so re-attaching labels
-        here reconstructs the exact :class:`Ranking` the parent path
-        would have built, at a fraction of the transport bytes.
-        """
-        tag = item[0]
-        if tag == "error":
-            raise RuntimeError(
-                f"worker-side selection failed: {item[1]}"
-            )
-        if tag == "score":
-            return float(item[1])
-        _, nodes, scores = item
-        entries = [
-            RankedNode(
-                int(n),
-                float(s),
-                label=labels[int(n)] if labels is not None else None,
-            )
-            for n, s in zip(nodes, scores)
-        ]
-        return Ranking(
-            entries,
-            query=node,
-            query_label=(
-                labels[node] if labels is not None else None
-            ),
-            measure=engine.measure.name,
-        )

@@ -3,15 +3,17 @@
 One function, :func:`run_drill`, stands up a real cluster-mode
 :class:`~repro.serve.ServingService` behind a real HTTP server and
 attacks it with the pool's chaos hooks while client load is in
-flight:
+flight. The hooks simulate each fault at the shard-dispatch contract
+(a worker thread cannot really be killed):
 
-* **kill** — ``kill_worker`` SIGKILLs a worker mid-batch; the
-  breaker trips, the in-process fallback answers the shard, the
-  respawned worker is restored by a half-open probe.
-* **hang** — ``hang_worker`` wedges a worker past ``shard_timeout``;
-  same recovery path, exercised through the timeout detector.
-* **corrupt** — ``corrupt_next_reply`` desynchronises one reply's
-  framing; the crash detector treats it like a dead worker.
+* **kill** — ``kill_worker`` makes a worker forget its engines; its
+  next shard crashes, the breaker trips, the in-process fallback
+  answers the shard, the respawned worker is restored by a half-open
+  probe.
+* **hang** — ``hang_worker`` makes a worker's next shard sleep past
+  ``shard_timeout`` and then crash; same recovery path.
+* **corrupt** — ``corrupt_next_reply`` makes a worker's next shard
+  crash at once; same recovery path.
 * **bad green** — a blue-green canary whose green side is forced to
   error (``inject_green_fault``) must auto-roll back with blue still
   serving.
@@ -88,7 +90,6 @@ def _post_top_k(url: str, query: int, k: int, timeout: float) -> str:
 
 def run_drill(
     *,
-    backend: str = "process",
     workers: int = 2,
     clients: int = 16,
     requests_per_client: int = 4,
@@ -119,16 +120,13 @@ def run_drill(
     breaker-transition JSONL (the CI artifacts).
 
     Defaults are CI-sized; tests call it with smaller ``clients`` /
-    ``nodes``. ``backend`` selects the process or thread pool — the
-    drill is identical for both because the chaos hooks are part of
-    the pool contract.
+    ``nodes``.
     """
     graph = random_digraph(nodes, edges, seed=seed)
     service = ServingService(
         graph,
         num_iterations=5,
         workers=workers,
-        backend=backend,
         shard_timeout=shard_timeout,
         # every request must reach dispatch for the ledger to mean
         # anything — the result cache would hide repeats
@@ -255,7 +253,6 @@ def run_drill(
         ),
     }
     report = {
-        "backend": backend,
         "workers": workers,
         "submitted": submitted,
         "counts": counts,

@@ -16,7 +16,7 @@ Endpoints
 ``GET /metrics``
     Prometheus text exposition (version 0.0.4) of every registered
     series — broker, caches, snapshot/delta, cluster (merged across
-    worker processes), and engine. See :mod:`repro.obs` and
+    worker threads), and engine. See :mod:`repro.obs` and
     ``docs/observability.md`` for the catalog.
 ``POST /top_k``
     Body ``{"query": <id-or-label>, "k": 10, "include_query": false}``

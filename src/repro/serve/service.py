@@ -66,38 +66,25 @@ class ServingService:
         there on warmup/mutate. See
         :class:`~repro.serve.snapshot.SnapshotManager`.
     workers:
-        ``0`` (default) answers batches with the in-process engine.
-        Any positive count scales out instead: a
-        :class:`~repro.cluster.WorkerPool` of that many worker
-        *processes* is forked when the service starts, each
-        memory-mapping the same persisted index (one shared page
-        cache), and every coalesced micro-batch is split into
-        per-worker column shards by a
+        ``0`` (default) answers each batch with the snapshot's own
+        engine on the broker's executor thread. Any positive count
+        scales out instead: a :class:`~repro.cluster.ThreadWorkerPool`
+        of that many worker *threads*, each with its own engine over
+        one shared in-process index, answers per-worker shards of
+        every coalesced micro-batch, split by a
         :class:`~repro.cluster.ShardRouter`. Mutations run the
-        two-phase worker swap automatically; a dead worker is
+        two-phase worker swap automatically; a crashed worker is
         respawned and its shard retried, never dropped.
     backend:
-        Cluster backend: ``"process"`` (default) forks a
-        :class:`~repro.cluster.WorkerPool`; ``"thread"`` runs the
-        same router over a :class:`~repro.cluster.ThreadWorkerPool`
-        — per-thread engines adopting one in-process index, no
-        transport at all (the kernels release the GIL inside
-        scipy/BLAS).
-    transport / ring_slots / ring_mb:
-        Process-backend transport knobs
-        (:class:`~repro.cluster.WorkerPool`): ``transport="shm"``
-        (default) returns shard results through per-worker
-        shared-memory rings with ``ring_slots`` slots of at most
-        ``ring_mb`` MiB each; ``transport="pickle"`` forces the
-        classic pickled transport.
-    worker_topk:
-        When true (default, cluster mode), top-k selection runs
-        *inside* the workers and only ``(k, B)`` ids+scores cross
-        the pipe; false ships full score columns and selects
-        parent-side.
-    mp_context / shard_timeout:
-        Cluster-only knobs, passed to the
-        :class:`~repro.cluster.WorkerPool`.
+        ``"thread"`` (default), the only worker backend. ``"process"``
+        is still accepted with ``workers=0``, where it changes
+        nothing; with ``workers >= 1`` it raises ``ValueError``
+        because the process backend was removed.
+    shard_timeout:
+        Seconds a chaos-simulated hung worker sleeps before its
+        shard counts as crashed (see
+        :meth:`~repro.cluster.ThreadWorkerPool.hang_worker`). A
+        thread cannot be killed, so this bounds nothing else.
     delta_mode / max_delta_fraction / max_chain_depth:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
@@ -177,13 +164,8 @@ class ServingService:
         cache_entries: int = 1024,
         index_path=None,
         workers: int = 0,
-        backend: str = "process",
-        mp_context: str = "spawn",
+        backend: str = "thread",
         shard_timeout: float = 120.0,
-        transport: str = "shm",
-        ring_slots: int = 2,
-        ring_mb: float = 64.0,
-        worker_topk: bool = True,
         delta_mode: str = "auto",
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
@@ -225,46 +207,30 @@ class ServingService:
         self.cluster = None
         if backend not in ("process", "thread"):
             raise ValueError(
-                f"backend must be 'process' or 'thread', got {backend!r}"
+                f"unknown backend {backend!r}; the worker backend is "
+                "'thread'"
+            )
+        if workers and backend == "process":
+            raise ValueError(
+                "the process worker backend was removed; use "
+                "backend='thread' (the default) with workers >= 1"
             )
         if workers:
-            from repro.cluster import (
-                ShardRouter,
-                ThreadWorkerPool,
-                WorkerPool,
-            )
+            from repro.cluster import ShardRouter, ThreadWorkerPool
 
-            if backend == "thread":
-                pool = ThreadWorkerPool(
-                    workers=workers,
-                    shard_timeout=shard_timeout,
-                )
-            else:
-                pool = WorkerPool(
-                    workers=workers,
-                    mp_context=mp_context,
-                    shard_timeout=shard_timeout,
-                    transport=transport,
-                    ring_slots=ring_slots,
-                    ring_mb=ring_mb,
-                    ring_max_batch=max_batch,
-                )
             self.cluster = ShardRouter(
-                pool,
+                ThreadWorkerPool(
+                    workers=workers, shard_timeout=shard_timeout
+                ),
                 self.snapshots,
                 obs=self.observability,
-                worker_topk=worker_topk,
                 breaker_threshold=breaker_threshold,
                 breaker_cooldown_s=breaker_cooldown_s,
             )
             self.snapshots.pre_swap = self.cluster.pre_swap
             self.snapshots.post_swap = self.cluster.post_swap
-            # blue-green: green generations become servable on the
-            # workers without touching the persisted index, and a
-            # rollback releases them (respecting in-flight pins)
-            self.snapshots.canary_prepare = (
-                self.cluster.prepare_generation
-            )
+            # a rolled-back canary's green generation is released
+            # from the workers (respecting in-flight pins)
             self.snapshots.abort_swap = self.cluster.abort_prepared
         self.broker = QueryBroker(
             self.snapshots,
@@ -296,7 +262,7 @@ class ServingService:
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "ServingService":
         if self.cluster is not None and not self.cluster.started:
-            # forking + priming K workers blocks; keep it off the loop
+            # priming K worker engines blocks; keep it off the loop
             await asyncio.get_running_loop().run_in_executor(
                 None, self.cluster.start
             )
@@ -339,8 +305,8 @@ class ServingService:
     def start_background(self) -> None:
         """Run the broker on a private event loop in a daemon thread.
 
-        In cluster mode (``workers=K``) this is also what forks the
-        worker pool — construction alone never spawns a process.
+        In cluster mode (``workers=K``) this also starts the worker
+        pool — construction alone never builds a worker engine.
         """
         if self._thread is not None:
             raise RuntimeError("service already running in background")
@@ -562,18 +528,17 @@ class ServingService:
             "observability": self.observability.describe(),
         }
 
-    def metrics_text(self, *, ping_workers: bool = True) -> str:
+    def metrics_text(self) -> str:
         """The Prometheus text exposition (the ``/metrics`` body).
 
         Renders every registered series at call time — the callback
         series read the broker/cache/snapshot/cluster/engine stats on
         this very call, so the document always reflects the live
-        counters. In cluster mode each worker is pinged first (unless
-        ``ping_workers=False``) and its cumulative metric snapshot is
-        merged into the registry with replacement semantics, so the
-        worker-side series (``repro_worker_*``, one
-        ``worker="worker-<i>"`` label per process) cover the whole
-        pool; a busy worker keeps its previous contribution.
+        counters. In cluster mode each worker's cumulative metric
+        snapshot is merged into the registry first, with replacement
+        semantics, so the worker-side series (``repro_worker_*``, one
+        ``worker="worker-<i>"`` label per worker) cover the whole
+        pool.
 
         With telemetry disabled, returns a one-line comment document
         (still valid Prometheus text).
@@ -581,7 +546,6 @@ class ServingService:
         obs = self.observability
         if (
             obs.enabled
-            and ping_workers
             and self.cluster is not None
             and self.cluster.started
         ):

@@ -180,13 +180,13 @@ class SnapshotManager:
     pre_swap / post_swap:
         Optional hot-swap hooks (``None`` by default). ``pre_swap(fresh)``
         runs after the replacement snapshot is built and warmed but
-        *before* the pointer swap — raising from it aborts the
-        mutation with the old snapshot still serving.
-        ``post_swap(old, fresh)`` runs right after the pointer swap.
-        :class:`~repro.cluster.ShardRouter` wires these to the
-        two-phase worker swap (``prepare`` everywhere, then
-        ``commit`` + deferred release), which is how a
-        multi-process deployment keeps the zero-failed-requests
+        *before* the pointer swap (and on a canary's green
+        candidate) — raising from it aborts the mutation with the old
+        snapshot still serving. ``post_swap(old, fresh)`` runs right
+        after the pointer swap. :class:`~repro.cluster.ShardRouter`
+        wires these to the two-phase worker swap (``prepare``
+        everywhere, then ``commit`` + deferred release), which is how
+        a multi-worker deployment keeps the zero-failed-requests
         guarantee across a mutation.
 
     Examples
@@ -251,12 +251,9 @@ class SnapshotManager:
         self.index_load_errors = 0
         self.pre_swap = None
         self.post_swap = None
-        # blue-green hooks (None outside cluster mode): canary_prepare
-        # makes a green generation servable by remote holders without
-        # touching the persisted index; abort_swap releases it on
-        # rollback (the router wires these to prepare_generation /
-        # abort_prepared)
-        self.canary_prepare = None
+        # blue-green (None outside cluster mode): a green generation
+        # is made servable through pre_swap, and abort_swap releases
+        # it on rollback (the router wires it to abort_prepared)
         self.abort_swap = None
         self.canary_prepares = 0
         self.canary_promotes = 0
@@ -375,18 +372,6 @@ class SnapshotManager:
         save_delta(
             delta, delta_sibling_path(self.index_path, self._delta_seq)
         )
-        self.index_saves += 1
-
-    def mark_persisted(self, engine: SimilarityEngine) -> None:
-        """Record that ``engine``'s artifacts already sit on
-        ``index_path`` (written by another layer).
-
-        :class:`~repro.cluster.ShardRouter` calls this after mirroring
-        a generation's index file onto ``index_path``, so the manager
-        does not serialise the identical artifacts a second time at
-        the end of the same mutation.
-        """
-        self._last_persisted = engine
         self.index_saves += 1
 
     @property
@@ -738,7 +723,7 @@ class SnapshotManager:
 
         The blue-green variant of :meth:`mutate` phase one: the edited
         graph's engine is built, warmed, and (in cluster mode) made
-        servable by every worker via the ``canary_prepare`` hook — but
+        servable by every worker via the ``pre_swap`` hook — but
         the ``current`` pointer is *not* swapped and the persisted
         index is *not* touched. Returns ``(blue, green)``; the caller
         (the serving service) shifts a traffic fraction to green and
@@ -764,10 +749,10 @@ class SnapshotManager:
             self._warm(engine)
             self.builds += 1
             green = Snapshot(engine, seq=self._alloc_seq(base))
-            if self.canary_prepare is not None:
-                # remote holders load the green generation; raising
+            if self.pre_swap is not None:
+                # the workers load the green generation; raising
                 # aborts the canary with blue serving untouched
-                self.canary_prepare(green)
+                self.pre_swap(green)
             self.canary_prepares += 1
             return base, green
 

@@ -1,8 +1,6 @@
-"""The scripted chaos drill, at test scale, on both backends."""
+"""The scripted chaos drill, at test scale."""
 
 import json
-
-import pytest
 
 from repro.serve.chaos import classify_status, run_drill
 
@@ -18,13 +16,11 @@ class TestClassifyStatus:
             assert classify_status(code) == "error"
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
 class TestChaosDrill:
-    def test_kill_hang_corrupt_and_bad_green(self, backend, tmp_path):
+    def test_kill_hang_corrupt_and_bad_green(self, tmp_path):
         report_path = tmp_path / "chaos.json"
         transitions_path = tmp_path / "transitions.jsonl"
         report = run_drill(
-            backend=backend,
             workers=2,
             clients=4,
             requests_per_client=2,

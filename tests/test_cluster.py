@@ -1,9 +1,8 @@
 """Tests for :mod:`repro.cluster` — sharded serving, failure paths.
 
-The expensive part of every test here is forking workers (``spawn``
-context: a fresh interpreter + numpy import per worker), so the
-happy-path tests share one module-scoped router; the failure-injection
-and hot-swap tests build their own, on deliberately small graphs.
+The happy-path tests share one module-scoped router; the
+failure-injection and hot-swap tests build their own, on deliberately
+small graphs.
 """
 
 from __future__ import annotations
@@ -15,19 +14,32 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterError,
-    ShardRouter,
-    WorkerPool,
-    graph_from_payload,
-    graph_to_payload,
-)
+from repro.cluster import ClusterError, ShardRouter, ThreadWorkerPool
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph.generators import random_digraph
-from repro.index.artifacts import graph_fingerprint
 from repro.serve import ServingService, SnapshotManager
 
 CONFIG = SimilarityConfig(measure="gSR*", c=0.6, num_iterations=8)
+
+
+def top_k_tasks(ids, k=5):
+    return [{"op": "top_k", "query": q, "k": k} for q in ids]
+
+
+def full_columns(router, seq, ids, num_nodes):
+    """Every score of each query's column, via full-width rankings."""
+    results = router.compute_tasks(seq, [
+        {"op": "top_k", "query": q, "k": num_nodes,
+         "include_query": True}
+        for q in ids
+    ])
+    columns = {}
+    for q, ranking in zip(ids, results):
+        column = np.zeros(num_nodes)
+        for node, score in ranking:
+            column[node] = score
+        columns[q] = column
+    return columns
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +47,7 @@ def cluster_env():
     """A started 2-worker router over a 300-node graph."""
     graph = random_digraph(300, 1800, seed=7)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     router.start()
     yield graph, snapshots, router
     router.stop()
@@ -47,37 +59,16 @@ def reference_engine(cluster_env):
     return SimilarityEngine(graph, CONFIG)
 
 
-# ---------------------------------------------------------------------------
-# payloads (no processes involved)
-# ---------------------------------------------------------------------------
-def test_graph_payload_roundtrip_preserves_digest():
-    graph = random_digraph(60, 240, seed=3)
-    rebuilt = graph_from_payload(graph_to_payload(graph))
-    assert rebuilt == graph
-    assert (
-        graph_fingerprint(rebuilt)["digest"]
-        == graph_fingerprint(graph)["digest"]
-    )
-
-
-def test_labels_survive_payload_roundtrip():
-    from repro.graph import figure1_citation_graph
-
-    graph = figure1_citation_graph()
-    rebuilt = graph_from_payload(graph_to_payload(graph))
-    assert rebuilt.labels == graph.labels
-
-
 def test_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="workers"):
-        WorkerPool(workers=0)
+        ThreadWorkerPool(workers=0)
 
 
 def test_router_compute_requires_start():
     snapshots = SnapshotManager(random_digraph(20, 60, seed=1), CONFIG)
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
     with pytest.raises(ClusterError, match="not started"):
-        router.compute(0, [0, 1])
+        router.compute_tasks(0, top_k_tasks([0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +77,13 @@ def test_router_compute_requires_start():
 def test_sharded_columns_match_in_process_engine(
     cluster_env, reference_engine
 ):
-    _, _, router = cluster_env
+    graph, _, router = cluster_env
     snapshot = router.pin()
     try:
         ids = list(range(0, 40))
-        columns = router.compute(snapshot.seq, ids)
+        columns = full_columns(router, snapshot.seq, ids, graph.num_nodes)
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(columns) == ids
     for q in ids:
         np.testing.assert_array_equal(
             columns[q], reference_engine.single_source(q)
@@ -104,7 +94,7 @@ def test_batch_is_sharded_across_every_worker(cluster_env):
     _, _, router = cluster_env
     snapshot = router.pin()
     try:
-        router.compute(snapshot.seq, list(range(100, 140)))
+        router.compute_tasks(snapshot.seq, top_k_tasks(range(100, 140)))
     finally:
         router.unpin(snapshot.seq)
     status = router.pool.worker_status()
@@ -122,7 +112,7 @@ def test_small_batches_rotate_across_workers(cluster_env):
     snapshot = router.pin()
     try:
         for q in range(60, 60 + 2 * router.pool.size):
-            router.compute(snapshot.seq, [q])
+            router.compute_tasks(snapshot.seq, top_k_tasks([q]))
     finally:
         router.unpin(snapshot.seq)
     after = [
@@ -137,15 +127,18 @@ def test_duplicate_and_empty_batches(cluster_env):
     _, _, router = cluster_env
     snapshot = router.pin()
     try:
-        columns = router.compute(snapshot.seq, [5, 5, 9, 5])
-        assert sorted(columns) == [5, 9]
-        assert router.compute(snapshot.seq, []) == {}
+        results = router.compute_tasks(
+            snapshot.seq, top_k_tasks([5, 5, 9, 5])
+        )
+        assert [r.query for r in results] == [5, 5, 9, 5]
+        assert results[0] == results[1] == results[3]
+        assert router.compute_tasks(snapshot.seq, []) == []
     finally:
         router.unpin(snapshot.seq)
 
 
 # ---------------------------------------------------------------------------
-# worker failure: killed workers respawn, requests never drop
+# worker failure: crashed workers respawn, requests never drop
 # ---------------------------------------------------------------------------
 def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
     _, _, router = cluster_env
@@ -153,10 +146,12 @@ def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
     router.pool.kill_worker(0)
     snapshot = router.pin()
     try:
-        columns = router.compute(snapshot.seq, list(range(150, 190)))
+        results = router.compute_tasks(
+            snapshot.seq, top_k_tasks(range(150, 190))
+        )
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(columns) == list(range(150, 190))
+    assert [r.query for r in results] == list(range(150, 190))
     assert router.pool.describe()["respawns"] == before + 1
     assert router.shard_retries >= 1
     assert all(w["alive"] for w in router.pool.worker_status())
@@ -173,26 +168,28 @@ def test_kill_mid_batch_request_still_completes(cluster_env):
     snapshot = router.pin()
     try:
         killer.start()
-        first = router.compute(snapshot.seq, ids)
+        first = router.compute_tasks(snapshot.seq, top_k_tasks(ids))
         killer.join()
         # whether the kill landed mid-shard or between batches, the
         # next batch must route through a healthy (respawned) worker
-        second = router.compute(snapshot.seq, list(range(260, 290)))
+        second = router.compute_tasks(
+            snapshot.seq, top_k_tasks(range(260, 290))
+        )
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(first) == ids
-    assert sorted(second) == list(range(260, 290))
+    assert [r.query for r in first] == ids
+    assert [r.query for r in second] == list(range(260, 290))
     assert router.pool.describe()["respawns"] >= before + 1
 
 
 # ---------------------------------------------------------------------------
-# hot-swap: two-phase propagation, abort-on-failure, corrupt index
+# hot-swap: two-phase propagation, abort-on-failure
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def swap_env():
     graph = random_digraph(120, 600, seed=11)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     snapshots.pre_swap = router.pre_swap
     snapshots.post_swap = router.post_swap
     router.start()
@@ -201,10 +198,11 @@ def swap_env():
 
 
 def test_two_phase_swap_propagates_to_all_workers(swap_env):
-    _, snapshots, router = swap_env
+    graph, snapshots, router = swap_env
+    n = graph.num_nodes
     base_seq = snapshots.current.seq
     snapshot = router.pin()
-    old_columns = router.compute(snapshot.seq, [3])
+    old_columns = full_columns(router, snapshot.seq, [3], n)
     router.unpin(snapshot.seq)
 
     fresh = snapshots.mutate(add=[(0, 3), (1, 3), (2, 3)])
@@ -215,7 +213,7 @@ def test_two_phase_swap_propagates_to_all_workers(swap_env):
     pinned = router.pin()
     try:
         assert pinned.seq == fresh.seq
-        new_columns = router.compute(pinned.seq, [3])
+        new_columns = full_columns(router, pinned.seq, [3], n)
     finally:
         router.unpin(pinned.seq)
     # the mutation gave node 3 new in-links: its column must change
@@ -225,14 +223,7 @@ def test_two_phase_swap_propagates_to_all_workers(swap_env):
     ).single_source(3)
     np.testing.assert_array_equal(new_columns[3], expected)
     # the drained old generation is released from the workers
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        gens = [
-            w["generations"] for w in router.pool.worker_status()
-        ]
-        if all(g == [fresh.seq] for g in gens):
-            break
-        time.sleep(0.05)
+    gens = [w["generations"] for w in router.pool.worker_status()]
     assert all(g == [fresh.seq] for g in gens)
 
 
@@ -252,90 +243,63 @@ def test_failed_prepare_aborts_swap_and_old_snapshot_serves(
     assert snapshots.current is base
     snapshot = router.pin()
     try:
-        columns = router.compute(snapshot.seq, [0, 1, 2])
+        results = router.compute_tasks(snapshot.seq, top_k_tasks([0, 1, 2]))
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(columns) == [0, 1, 2]
+    assert [r.query for r in results] == [0, 1, 2]
 
 
 def test_aborted_prepare_unregisters_the_failed_generation(
     swap_env, monkeypatch
 ):
     """A failed swap must not poison later respawns with a bad gen."""
+    from repro.engine.engine import SimilarityEngine as Engine
+
     _, snapshots, router = swap_env
     pool = router.pool
+    # full rebuilds only: every from_index call below is the pool's
+    snapshots.delta_mode = "off"
+    adopt = Engine.from_index.__func__
+    calls = []
 
-    def failing_prepare_worker(self, worker, seq):
-        raise ClusterError("injected: prepare_failed")
+    def fail_on_second_worker(cls, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ClusterError("injected: prepare failed")
+        return adopt(cls, *args, **kwargs)
 
     monkeypatch.setattr(
-        WorkerPool, "_prepare_worker", failing_prepare_worker
+        Engine, "from_index", classmethod(fail_on_second_worker)
     )
     with pytest.raises(ClusterError, match="injected"):
         snapshots.mutate(add=[(0, 5)])
     monkeypatch.undo()
-    # the failed generation is gone from the replay set and disk
+    # the failed generation is gone from the replay set and every
+    # worker, including the one whose engine was built
     assert pool.describe()["generations"] == [0]
-    assert not pool.generation_path(1).exists()
+    assert all(w["generations"] == [0] for w in pool.worker_status())
     # crash recovery replays only healthy generations
     pool.kill_worker(0)
     snapshot = router.pin()
     try:
-        columns = router.compute(snapshot.seq, [0, 1, 2, 3])
+        results = router.compute_tasks(
+            snapshot.seq, top_k_tasks([0, 1, 2, 3])
+        )
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(columns) == [0, 1, 2, 3]
+    assert [r.query for r in results] == [0, 1, 2, 3]
+    assert pool.worker_status()[0]["generations"] == [0]
 
 
 def test_respawn_refused_after_stop():
     snapshots = SnapshotManager(
         random_digraph(30, 90, seed=2), CONFIG
     )
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
     router.start()
     router.stop()
     with pytest.raises(ClusterError, match="stopped"):
         router.pool.respawn(0)
-
-
-def test_corrupt_index_mid_swap_falls_back_to_worker_rebuild(
-    swap_env, monkeypatch
-):
-    _, snapshots, router = swap_env
-    pool = router.pool
-    # force the full-index path: the scenario under test is a corrupt
-    # gen-<seq>.simidx container, which delta swaps never write
-    snapshots.delta_mode = "off"
-    register = WorkerPool._register_generation
-
-    def corrupting_register(self, snapshot):
-        payload = register(self, snapshot)
-        # scribble over the persisted container *after* the parent
-        # wrote it and *before* any worker maps it — the worst-timed
-        # corruption a real deployment could see
-        self.generation_path(snapshot.seq).write_bytes(
-            b"not a simidx file"
-        )
-        return payload
-
-    monkeypatch.setattr(
-        WorkerPool, "_register_generation", corrupting_register
-    )
-    fresh = snapshots.mutate(add=[(0, 7), (1, 7)])
-    # the swap still completed: workers rebuilt from the shipped
-    # graph instead of the corrupt file, and serve the new content
-    status = pool.worker_status()
-    assert all(w["current_seq"] == fresh.seq for w in status)
-    assert sum(w["prepare_rebuilds"] for w in status) >= 2
-    snapshot = router.pin()
-    try:
-        columns = router.compute(snapshot.seq, [7])
-    finally:
-        router.unpin(snapshot.seq)
-    expected = SimilarityEngine(
-        fresh.graph, CONFIG
-    ).single_source(7)
-    np.testing.assert_array_equal(columns[7], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +349,14 @@ def test_service_with_workers_serves_and_swaps_mid_traffic():
     service.close()
 
 
-def test_cluster_mirrors_index_to_manager_path(tmp_path):
-    """workers=K + index_path: one serialisation per generation.
+def test_index_path_written_after_swap_with_workers(tmp_path):
+    """workers=K + index_path: the manager persists every generation.
 
-    The pool writes the generation file; the manager's ``index_path``
-    gets a cheap mirrored copy (not a second full export). A small
-    mutation rides the delta path: the base file stays untouched and
-    a chained segment lands beside it, and the chain must
-    fingerprint-match the *served* graph after the mutation — a
-    restarted manager warm-loads base + segment without rebuilding.
+    Warmup writes the base container. A small mutation rides the
+    delta path: the base file stays untouched and a chained segment
+    lands beside it, and the chain must fingerprint-match the
+    *served* graph after the mutation — a restarted manager
+    warm-loads base + segment without rebuilding.
     """
     from repro.index import SimilarityIndex
     from repro.index.delta import delta_sibling_path
@@ -406,8 +369,9 @@ def test_cluster_mirrors_index_to_manager_path(tmp_path):
     )
     service.start_background()
     try:
-        assert path.exists()  # mirrored at pool start
-        saves_after_start = service.snapshots.index_saves
+        service.warmup()
+        assert path.exists()
+        saves_after_warmup = service.snapshots.index_saves
         base_graph = service.snapshots.current.graph.copy()
         fresh = service.mutate(add=[(0, 9)])
         # the delta swap leaves the base container alone and chains
@@ -416,7 +380,7 @@ def test_cluster_mirrors_index_to_manager_path(tmp_path):
         assert base.matches(base_graph, service.config)
         assert delta_sibling_path(path, 1).exists()
         # exactly one more persist per mutation (the segment)
-        assert service.snapshots.index_saves == saves_after_start + 1
+        assert service.snapshots.index_saves == saves_after_warmup + 1
         # the persisted chain matches the served graph: a restart
         # over the mutated content warm-loads instead of rebuilding
         restarted = SnapshotManager(

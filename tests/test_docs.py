@@ -65,10 +65,7 @@ DOCTEST_MODULES = (
     "repro.serve.http",
     "repro.serve.service",
     "repro.serve.snapshot",
-    "repro.cluster.worker",
-    "repro.cluster.pool",
     "repro.cluster.router",
-    "repro.cluster.shm",
     "repro.cluster.thread_pool",
     "repro.cluster",
     "repro.approx",

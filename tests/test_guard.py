@@ -400,7 +400,6 @@ class TestBreakerThroughRouter:
     def test_kill_trips_fallback_answers_probe_restores(self):
         service = make_service(
             workers=2,
-            backend="thread",
             cache_entries=0,
             breaker_threshold=1,
             breaker_cooldown_s=0.2,
@@ -432,7 +431,7 @@ class TestBreakerThroughRouter:
 
     def test_breaker_states_surface_in_status_and_metrics(self):
         service = make_service(
-            workers=2, backend="thread", breaker_threshold=1
+            workers=2, breaker_threshold=1
         )
 
         async def main():
@@ -562,10 +561,13 @@ class TestGuardOverHTTP:
 class TestAccountingProperty:
     """Satellite: answered + shed + expired == submitted, always."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "workers",
+        [pytest.param(2, id="thread"), pytest.param(0, id="inproc")],
+    )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_sequences_never_lose_a_request(
-        self, backend, seed
+        self, workers, seed
     ):
         import random
 
@@ -573,8 +575,7 @@ class TestAccountingProperty:
         depth = rng.choice([1, 2, 4])
         service = make_service(
             graph=random_digraph(40, 200, seed=5),
-            workers=2,
-            backend=backend,
+            workers=workers,
             cache_entries=0,
             max_batch=rng.choice([1, 4]),
             max_wait_ms=rng.choice([0.0, 2.0]),

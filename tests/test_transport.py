@@ -1,35 +1,23 @@
-"""Tests for the zero-copy shard transport (PR 9).
+"""Tests for the shard answer path and the thread worker backend.
 
-Covers the :mod:`repro.cluster.shm` ring protocol at the unit level
-(no processes), the shm-vs-pickle parity and fallback behaviour of
-:class:`~repro.cluster.WorkerPool`, worker-side top-k tie-break
-parity, the :class:`~repro.cluster.ThreadWorkerPool` backend, and the
-rebalanced :meth:`~repro.cluster.ShardRouter._split`.
-
-Forking spawn workers is the expensive part, so the process-backed
-tests share module-scoped routers; failure-injection tests build
-their own small ones.
+Covers :func:`~repro.engine.results.run_tasks` (the one function every
+batch is answered by, in-process or on a worker), worker-side top-k
+tie-break parity, the :class:`~repro.cluster.ThreadWorkerPool`
+backend and the ``backend`` keyword, and the rebalanced
+:meth:`~repro.cluster.ShardRouter._split`.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
     ClusterError,
     ShardRouter,
     ThreadWorkerPool,
-    WorkerPool,
     run_tasks,
-)
-from repro.cluster.shm import (
-    HEADER_BYTES,
-    ResultRing,
-    RingError,
-    ring_available,
 )
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph import DiGraph
@@ -42,272 +30,69 @@ CONFIG = SimilarityConfig(measure="gSR*", c=0.6, num_iterations=8)
 def tie_heavy_graph() -> DiGraph:
     """A complete bipartite digraph: every left node is structurally
     identical, so top-k rankings are wall-to-wall score ties — the
-    regime where worker-side selection must reproduce the parent's
-    tie-break exactly."""
+    regime where worker-side selection must reproduce the in-process
+    tie-break exactly. Labelled, so label attachment is checked too."""
     left, right = 6, 5
     edges = [(u, left + v) for u in range(left) for v in range(right)]
-    return DiGraph(left + right, edges=edges)
+    labels = [f"n{i}" for i in range(left + right)]
+    return DiGraph(left + right, edges=edges, labels=labels)
 
 
 @pytest.fixture(scope="module")
-def shm_env():
-    """A started 2-worker shm-transport router over a small graph."""
+def thread_env():
+    """A started 2-worker router over a small graph."""
     graph = random_digraph(120, 600, seed=11)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     router.start()
     yield graph, snapshots, router
     router.stop()
 
 
-@pytest.fixture(scope="module")
-def pickle_env(shm_env):
-    """The same graph served over the forced-pickle transport."""
-    graph, _, _ = shm_env
-    snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(
-        WorkerPool(workers=2, transport="pickle"), snapshots
-    )
-    router.start()
-    yield graph, snapshots, router
-    router.stop()
-
-
-# ---------------------------------------------------------------------------
-# ring protocol, no processes
-# ---------------------------------------------------------------------------
-class TestResultRing:
-    def test_write_read_roundtrip_and_views_are_readonly(self):
-        ring = ResultRing.create(slots=2, slot_bytes=4096)
-        try:
-            cols = [np.arange(8.0), np.arange(8.0) * 2]
-            desc = ring.write(tag=1, ids=[4, 9], columns=cols)
-            block = ring.read(desc)
-            assert np.array_equal(block[0], cols[0])
-            assert np.array_equal(block[1], cols[1])
-            assert not block.flags.writeable
-            assert desc["ids"] == [4, 9]
-        finally:
-            ring.destroy()
-
-    def test_stale_tag_and_torn_write_detected(self):
-        ring = ResultRing.create(slots=2, slot_bytes=4096)
-        try:
-            desc = ring.write(
-                tag=1, ids=[0], columns=[np.ones(4)]
-            )
-            # slot recycled by a later write with the same slot index
-            ring.write(tag=3, ids=[1], columns=[np.zeros(4)])
-            with pytest.raises(RingError, match="stale"):
-                ring.read(desc)
-            # header nbytes disagreeing with the descriptor shape
-            fresh = ring.write(tag=4, ids=[2], columns=[np.ones(4)])
-            ring._header(fresh["slot"])[1] = 1
-            with pytest.raises(RingError, match="torn"):
-                ring.read(fresh)
-        finally:
-            ring.destroy()
-
-    def test_oversized_block_raises_ring_error(self):
-        ring = ResultRing.create(
-            slots=1, slot_bytes=HEADER_BYTES + 32
-        )
-        try:
-            assert not ring.fits(1, 8, np.float64)
-            with pytest.raises(RingError, match="exceeds"):
-                ring.write(
-                    tag=1, ids=[0], columns=[np.ones(8)]
-                )
-        finally:
-            ring.destroy()
-
-    def test_bytes_payload_roundtrip_and_stale_tag(self):
-        ring = ResultRing.create(slots=2, slot_bytes=256)
-        try:
-            desc = ring.write_bytes(tag=5, payload=b"hello rings")
-            assert ring.read_bytes(desc) == b"hello rings"
-            with pytest.raises(RingError, match="stale"):
-                ring.read_bytes(dict(desc, tag=6))
-            with pytest.raises(RingError, match="exceeds"):
-                ring.write_bytes(tag=7, payload=b"x" * 512)
-        finally:
-            ring.destroy()
-
-    def test_descriptor_for_other_ring_rejected(self):
-        a = ResultRing.create(slots=1, slot_bytes=256)
-        b = ResultRing.create(slots=1, slot_bytes=256)
-        try:
-            desc = a.write(tag=1, ids=[0], columns=[np.ones(2)])
-            with pytest.raises(RingError, match="different ring"):
-                b.read(desc)
-        finally:
-            a.destroy()
-            b.destroy()
-
-    def test_ring_available_probes_true_here(self):
-        assert ring_available() is True
-
-
-# ---------------------------------------------------------------------------
-# shm vs pickle parity and accounting
-# ---------------------------------------------------------------------------
-def test_shm_and_pickle_columns_bit_identical(shm_env, pickle_env):
-    _, _, shm_router = shm_env
-    _, _, pickle_router = pickle_env
-    ids = list(range(24))
-    shm_snap = shm_router.pin()
-    pickle_snap = pickle_router.pin()
-    try:
-        shm_cols = shm_router.compute(shm_snap.seq, ids)
-        pickle_cols = pickle_router.compute(pickle_snap.seq, ids)
-    finally:
-        shm_router.unpin(shm_snap.seq)
-        pickle_router.unpin(pickle_snap.seq)
-    for q in ids:
-        assert np.array_equal(
-            np.asarray(shm_cols[q]), np.asarray(pickle_cols[q])
-        ), f"column {q} differs between transports"
-
-
-def test_transport_stats_attribute_bytes_to_the_right_path(
-    shm_env, pickle_env
-):
-    _, _, shm_router = shm_env
-    _, _, pickle_router = pickle_env
-    shm_stats = shm_router.pool.transport_stats()
-    pickle_stats = pickle_router.pool.transport_stats()
-    assert shm_stats["mode"] == "shm"
-    assert pickle_stats["mode"] == "pickle"
-    assert shm_stats["ring_replies"] > 0
-    assert pickle_stats["ring_replies"] == 0
-    assert pickle_stats["pickle_replies"] > 0
-    # the descriptor path ships orders of magnitude fewer bytes for
-    # the same column traffic
-    assert (
-        shm_stats["transport_bytes"]
-        < pickle_stats["transport_bytes"]
-    )
-    assert shm_stats["ring_bytes_per_worker"] > 0
-    for row in shm_stats["per_worker"]:
-        assert set(row) >= {
-            "index", "ring_replies", "pickle_replies",
-            "task_replies", "transport_bytes", "compute_seconds",
-            "transport_seconds",
-        }
-
-
-def test_worker_killed_mid_run_retries_to_completion(shm_env):
-    _, _, router = shm_env
+def test_worker_killed_mid_run_retries_to_completion(thread_env):
+    _, _, router = thread_env
+    tasks = [{"op": "top_k", "query": q, "k": 5} for q in range(4)]
     snapshot = router.pin()
     try:
-        before = router.compute(snapshot.seq, [0, 1, 2, 3])
+        before = router.compute_tasks(snapshot.seq, tasks)
         router.pool.kill_worker(0)
-        after = router.compute(snapshot.seq, [0, 1, 2, 3])
+        after = router.compute_tasks(snapshot.seq, tasks)
     finally:
         router.unpin(snapshot.seq)
-    for q in before:
-        assert np.array_equal(
-            np.asarray(before[q]), np.asarray(after[q])
-        )
+    assert [r.to_pairs() for r in before] == [
+        r.to_pairs() for r in after
+    ]
     assert sum(w.respawns for w in router.pool._workers) >= 1
 
 
-def test_stale_ring_descriptor_crashes_shard_not_request(shm_env):
-    """A descriptor naming an unknown ring is a WorkerCrash — the
-    router's respawn-and-retry machinery, not a poisoned result."""
-    from repro.cluster.pool import WorkerCrash
-
-    _, _, router = shm_env
-    worker = router.pool._workers[0]
-    with pytest.raises(WorkerCrash, match="unknown ring"):
-        router.pool._read_ring(
-            worker, {"name": "psm_gone", "slot": 0, "tag": 1,
-                     "ids": [0], "rows": 1, "cols": 4,
-                     "dtype": "float64"}
-        )
-
-
-def test_shm_unavailable_degrades_to_counted_pickle(monkeypatch):
-    import repro.cluster.pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "ring_available", lambda: False)
-    graph = random_digraph(60, 240, seed=3)
-    snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
-    router.start()
-    try:
-        snapshot = router.pin()
-        try:
-            columns = router.compute(snapshot.seq, [0, 1, 2])
-        finally:
-            router.unpin(snapshot.seq)
-        stats = router.pool.transport_stats()
-    finally:
-        router.stop()
-    assert stats["ring_unavailable"] is True
-    assert stats["ring_replies"] == 0
-    assert stats["pickle_replies"] > 0
-    reference = SimilarityEngine(graph, CONFIG)
-    expected = reference.columns([0, 1, 2])
-    for q, col in expected.items():
-        assert np.allclose(np.asarray(columns[q]), col)
-
-
-def test_block_too_large_for_slot_falls_back_to_pickle():
-    graph = random_digraph(80, 320, seed=5)
-    snapshots = SnapshotManager(graph, CONFIG)
-    # a slot that fits at most one column: any multi-column shard
-    # must take the counted pickle fallback, with identical results
-    router = ShardRouter(
-        WorkerPool(workers=1, ring_max_batch=1, ring_mb=0.001),
-        snapshots,
-    )
-    router.start()
-    try:
-        snapshot = router.pin()
-        try:
-            columns = router.compute(snapshot.seq, list(range(6)))
-        finally:
-            router.unpin(snapshot.seq)
-        stats = router.pool.transport_stats()
-        status = router.pool.worker_status()
-    finally:
-        router.stop()
-    assert stats["pickle_replies"] > 0
-    assert any(w.get("ring_fallbacks", 0) > 0 for w in status)
-    reference = SimilarityEngine(graph, CONFIG)
-    expected = reference.columns(list(range(6)))
-    for q, col in expected.items():
-        assert np.allclose(np.asarray(columns[q]), col)
-
-
 # ---------------------------------------------------------------------------
-# worker-side top-k
+# the answer path
 # ---------------------------------------------------------------------------
 def test_run_tasks_matches_engine_and_isolates_bad_tasks():
     engine = SimilarityEngine(tie_heavy_graph(), CONFIG)
-    results, ncols = run_tasks(engine, [
+    results = run_tasks(engine, [
         {"op": "top_k", "query": 0, "k": 4},
         {"op": "score", "query": 0, "u": 1},
         {"op": "top_k", "query": 0, "k": -2},   # bad on its own terms
         {"op": "top_k", "query": 2, "k": 3, "include_query": True},
     ])
-    assert ncols == 2  # queries 0 and 2, deduplicated
+    assert engine.stats.misses == 2  # queries 0 and 2, deduplicated
     expected = engine.top_k(0, k=4)
-    assert results[0][0] == "top_k"
-    assert list(results[0][1]) == expected.nodes
-    assert list(results[0][2]) == pytest.approx(expected.scores)
-    assert results[1][0] == "score"
-    assert results[2][0] == "error"
-    assert results[3][0] == "top_k"
+    assert results[0] == expected
+    assert results[0].labels == expected.labels
+    assert results[0].measure == expected.measure == "gSR*"
+    assert results[1] == engine.score(1, 0)
+    assert isinstance(results[2], ValueError)
+    assert results[3] == engine.top_k(2, k=3, include_query=True)
 
 
 def test_worker_topk_ties_match_parent_selection():
-    """compute_tasks through real workers reproduces the parent's
-    exact tie-break (argpartition + lexsort) on a tie-heavy graph."""
+    """compute_tasks through the worker threads reproduces the
+    engine's exact tie-break (argpartition + lexsort) on a tie-heavy
+    graph."""
     graph = tie_heavy_graph()
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     router.start()
     try:
         snapshot = router.pin()
@@ -323,20 +108,22 @@ def test_worker_topk_ties_match_parent_selection():
     finally:
         router.stop()
     reference = SimilarityEngine(graph, CONFIG)
-    for q, item in enumerate(results):
+    for q, ranking in enumerate(results):
         expected = reference.top_k(q, k=4)
-        assert item[0] == "top_k"
-        assert list(item[1]) == expected.nodes, f"tie-break @ {q}"
-        assert list(item[2]) == pytest.approx(expected.scores)
+        assert ranking.to_pairs() == expected.to_pairs(), (
+            f"tie-break @ {q}"
+        )
+        assert ranking.labels == expected.labels
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
-def test_service_worker_topk_matches_inprocess(backend):
+def test_service_worker_topk_matches_inprocess():
+    """workers=0 and workers=2 answer a top_k/score mix identically:
+    nodes, scores, labels, measure, ties included."""
     graph = tie_heavy_graph()
 
     async def run():
         async with ServingService(
-            graph, CONFIG, workers=2, backend=backend,
+            graph, CONFIG, workers=2,
             cache_entries=0, telemetry=False,
         ) as svc:
             rankings = await asyncio.gather(
@@ -356,6 +143,10 @@ def test_service_worker_topk_matches_inprocess(backend):
     assert score == ref_score
     for got, want in zip(rankings, expected):
         assert got.to_pairs() == want.to_pairs()
+        assert got.labels == want.labels
+        assert (got.query, got.query_label, got.measure) == (
+            want.query, want.query_label, want.measure
+        )
 
 
 def test_service_bad_k_fails_only_its_own_request():
@@ -384,11 +175,13 @@ def test_service_bad_k_fails_only_its_own_request():
 class TestThreadBackend:
     def test_pool_duck_types_and_rejects_chaos(self):
         pool = ThreadWorkerPool(workers=3)
-        assert pool.backend == "thread"
-        assert pool.persists_index is False
         assert pool.size == 3
-        with pytest.raises(ClusterError, match="process"):
+        assert pool.started is False
+        with pytest.raises(ClusterError, match="start"):
             pool.kill_worker(0)
+        # a misspelled keyword is an error, not silently ignored
+        with pytest.raises(TypeError, match="shard_timout"):
+            ThreadWorkerPool(workers=2, shard_timout=1)
 
     def test_router_parity_and_describe(self):
         graph = random_digraph(90, 450, seed=9)
@@ -398,40 +191,32 @@ class TestThreadBackend:
         try:
             snapshot = router.pin()
             try:
-                columns = router.compute(
-                    snapshot.seq, list(range(12))
-                )
                 tasks = [
-                    {"op": "top_k", "query": 0, "k": 3,
-                     "include_query": False},
-                    {"op": "score", "query": 1, "u": 2},
-                ]
-                task_results = router.compute_tasks(
-                    snapshot.seq, tasks
-                )
+                    {"op": "top_k", "query": q, "k": 3,
+                     "include_query": False}
+                    for q in range(12)
+                ] + [{"op": "score", "query": 1, "u": 2}]
+                results = router.compute_tasks(snapshot.seq, tasks)
             finally:
                 router.unpin(snapshot.seq)
             description = router.describe()
         finally:
             router.stop()
         reference = SimilarityEngine(graph, CONFIG)
-        expected = reference.columns(list(range(12)))
-        for q, col in expected.items():
-            assert np.allclose(np.asarray(columns[q]), col)
-        ranked = reference.top_k(0, k=3)
-        assert list(task_results[0][1]) == ranked.nodes
-        assert task_results[1][0] == "score"
+        for q in range(12):
+            assert results[q] == reference.top_k(q, k=3)
+        assert results[12] == reference.score(2, 1)
         pool_doc = description["pool"]
-        assert pool_doc["backend"] == "thread"
-        assert pool_doc["transport"]["mode"] == "inproc"
-        assert pool_doc["transport"]["transport_bytes"] == 0
+        assert pool_doc["workers"] == 3
+        assert pool_doc["started"] is True
+        assert len(description["worker_status"]) == 3
 
     def test_service_mutation_swaps_through_thread_pool(self):
         graph = random_digraph(60, 240, seed=13)
 
         async def run():
             async with ServingService(
-                graph, CONFIG, workers=2, backend="thread",
+                graph, CONFIG, workers=2,
                 cache_entries=0, telemetry=False,
             ) as svc:
                 before = await svc.top_k(0, k=3)
@@ -454,6 +239,22 @@ class TestThreadBackend:
                 workers=1, backend="fiber",
             )
 
+    def test_process_backend_is_accepted_only_without_workers(self):
+        graph = random_digraph(20, 60, seed=1)
+        service = ServingService(
+            graph, CONFIG, workers=0, backend="process"
+        )
+        assert service.cluster is None
+        service.start_background()
+        try:
+            assert len(service.top_k_sync(0, k=3)) == 3
+        finally:
+            service.close()
+        with pytest.raises(ValueError, match="removed"):
+            ServingService(graph, CONFIG, workers=2, backend="process")
+        with pytest.raises(ValueError, match="backend"):
+            ServingService(graph, CONFIG, backend="fiber")
+
 
 # ---------------------------------------------------------------------------
 # shard splitting
@@ -465,7 +266,7 @@ class TestSplitBalance:
     )
     def test_split_never_empty_never_lopsided(self, workers, batch):
         router = ShardRouter(
-            WorkerPool(workers=workers),
+            ThreadWorkerPool(workers=workers),
             SnapshotManager(
                 random_digraph(10, 30, seed=1), CONFIG
             ),
