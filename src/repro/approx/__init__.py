@@ -6,9 +6,10 @@ per query column, which caps the engine/serve/cluster stack at roughly
 per-query cost that scales with the *sample budget* instead:
 
 * :class:`WalkIndex` — precomputed reverse random walks (``samples``
-  per node, endpoints recorded at each step), persistable as optional
-  segments of the ``.simidx`` container so restarts map it instead of
-  resampling;
+  per node, inverted into per-level endpoint buckets), persistable as
+  optional segments of the ``.simidx`` container so restarts map it
+  instead of resampling, and patched in place of a redraw when an
+  edge edit touches some of its walks;
 * :class:`ApproxEstimator` — combines walk-endpoint meeting counts
   with the engine's series-coefficient table into single-source
   columns and early-terminating top-k rankings;
@@ -33,12 +34,11 @@ from __future__ import annotations
 import math
 
 from repro.approx.estimator import ApproxEstimator, ApproxStats
-from repro.approx.walks import DEAD, WalkIndex
+from repro.approx.walks import WalkIndex
 
 __all__ = [
     "ApproxEstimator",
     "ApproxStats",
-    "DEAD",
     "DEFAULT_EPSILON",
     "DEFAULT_WALK_LENGTH",
     "WalkIndex",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.approx.walks import WalkIndex
+from repro.approx.walks import WalkIndex, _multi_range
 
 __all__ = ["ApproxEstimator", "ApproxStats"]
 
@@ -62,23 +62,6 @@ _TAIL_MASS = 1e-3
 #: ``beta > walk_length + margin`` are below the truncation error the
 #: walk depth already accepts.
 _QUERY_DEPTH_MARGIN = 2
-
-
-def _multi_range(
-    starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Flat indices covering ``[starts[i], starts[i] + lengths[i])``.
-
-    The vectorised many-slices gather both the bucket reads and the
-    sparse pushes are built on.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg_starts = np.cumsum(lengths) - lengths
-    return np.repeat(starts - seg_starts, lengths) + np.arange(
-        total, dtype=np.int64
-    )
 
 
 @dataclass

@@ -6,43 +6,45 @@ walks: ``Q^alpha[u, w]`` — the weight the exact kernel computes by
 ``alpha`` sparse products — is exactly the probability that a length-
 ``alpha`` walk from ``u`` along the backward transition matrix ``Q``
 ends at ``w``. A :class:`WalkIndex` materialises that distribution
-empirically: ``samples`` independent walks from every node, with the
-endpoint after each step ``1 .. walk_length`` recorded in aligned
-``uint32`` arrays.
+empirically: ``samples`` independent walks from every node, a walk
+dying at an in-degree-0 node (mirroring the absorbing zero rows of
+``Q``).
 
-Two layouts of the same data are stored, because the estimator needs
-both directions:
+The walks are stored in one layout, the one the estimator reads: an
+**inverted index** per level — ``bucket(l, w)`` lists every walk
+source whose step-``l`` endpoint is ``w``, stored *run-length
+deduplicated*: each (source, endpoint) pair appears once in
+``sources`` with its multiplicity in the aligned ``counts`` array.
+Walks concentrate heavily on hub endpoints (several walks from one
+source often meet at the same node), so deduplication both shrinks
+the index and cuts the estimator's dominant gather volume.
 
-* ``endpoints[l - 1, i, r]`` — where walk ``r`` from node ``i`` stands
-  after ``l`` steps (:data:`DEAD` once the walk hits an in-degree-0
-  node, mirroring the absorbing zero rows of ``Q``);
-* an **inverted index** per level — ``bucket(l, w)`` lists every walk
-  source whose step-``l`` endpoint is ``w``, stored *run-length
-  deduplicated*: each (source, endpoint) pair appears once in
-  ``sources`` with its multiplicity in the aligned ``counts`` array.
-  Walks concentrate heavily on hub endpoints (several walks from one
-  source often meet at the same node), so deduplication both shrinks
-  the index and cuts the estimator's dominant gather volume.
+The walks themselves are not kept, because any of them can be drawn
+again. Every step draws one uniform per walk from a single PCG64
+stream whatever the graph is: walk ``w = i * samples + r`` (walk ``r``
+of node ``i``) takes draw ``s * n * samples + w`` of
+``np.random.default_rng(seed)`` at step ``s``. An edge edit changes
+only the ``Q`` rows of its targets, so :meth:`WalkIndex.rewalked`
+regenerates exactly the walks that stand on a target
+(``PCG64.advance``) and patches their bucket entries — the result is
+byte-identical to a fresh :meth:`WalkIndex.build`.
 
-Both are plain contiguous arrays, which is what lets
+The buckets are plain contiguous arrays, which is what lets
 :mod:`repro.index.store` persist them as optional ``.simidx`` segments
-and :mod:`repro.cluster` workers share one memory-mapped copy.
+and :mod:`repro.cluster` workers share one copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["DEAD", "WalkIndex"]
+from repro.core.overlay import _splice_ranges
 
-#: Endpoint sentinel for an absorbed walk (a walk that reached a node
-#: with no in-neighbours — ``Q``'s zero rows). ``uint32``'s maximum,
-#: so it can never collide with a real node id (the store rejects
-#: graphs that large long before this matters).
-DEAD = 0xFFFF_FFFF
+__all__ = ["WalkIndex"]
 
 
 def _validate_build_args(walk_length: int, samples: int) -> None:
@@ -62,16 +64,96 @@ def _validate_build_args(walk_length: int, samples: int) -> None:
         )
 
 
+def _multi_range(
+    starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Flat indices covering ``[starts[i], starts[i] + lengths[i])``.
+
+    The vectorised many-slices gather that bucket reads and the
+    estimator's sparse pushes are built on.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    seg_starts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - seg_starts, lengths) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+def _walk_buckets(
+    transition: sp.csr_array,
+    origins: np.ndarray,
+    samples: int,
+    walk_length: int,
+    draws: Callable[[int], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk ``samples`` walks from each of ``origins``; per level, yield
+    the sorted ``endpoint * n + source`` keys and their walk counts.
+
+    Walk ``j * samples + r`` starts at ``origins[j]`` and moves with
+    uniform ``draws(step)[j * samples + r]`` at ``step``: it picks
+    in-neighbour ``floor(u * degree)`` of its node, or dies there when
+    the degree is 0. Dead walks drop out of every later level.
+    """
+    n = int(transition.shape[0])
+    indptr = np.asarray(transition.indptr, dtype=np.int64)
+    indices = np.asarray(transition.indices)
+    live = np.arange(origins.size * samples, dtype=np.int64)
+    pos = np.repeat(origins, samples)
+    for step in range(walk_length):
+        uniforms = draws(step)
+        deg = indptr[pos + 1] - indptr[pos]
+        moving = deg > 0
+        live, pos, deg = live[moving], pos[moving], deg[moving]
+        offset = np.minimum(
+            (uniforms[live] * deg).astype(np.int64), deg - 1
+        )
+        pos = indices[indptr[pos] + offset].astype(np.int64)
+        yield np.unique(
+            pos * n + origins[live // samples], return_counts=True
+        )
+
+
+def _regenerate_draws(
+    seed: int,
+    num_nodes: int,
+    samples: int,
+    walk_length: int,
+    origins: np.ndarray,
+) -> np.ndarray:
+    """The uniforms :meth:`WalkIndex.build` gives the walks of ``origins``.
+
+    ``out[step, j * samples + r]`` is draw
+    ``(step * num_nodes + origins[j]) * samples + r`` of
+    ``default_rng(seed)``; each run of consecutive origins is one
+    ``advance`` plus one contiguous ``random`` call per step (PCG64
+    spends one 64-bit output per double).
+    """
+    bitgen = np.random.PCG64(seed)
+    gen = np.random.Generator(bitgen)
+    breaks = np.flatnonzero(np.diff(origins) != 1) + 1
+    firsts = np.concatenate(([0], breaks)).tolist()
+    ends = np.concatenate((breaks, [origins.size])).tolist()
+    out = np.empty((walk_length, origins.size * samples))
+    cursor = 0
+    for step in range(walk_length):
+        for a, b in zip(firsts, ends):
+            start = (step * num_nodes + int(origins[a])) * samples
+            bitgen.advance(start - cursor)
+            out[step, a * samples: b * samples] = gen.random(
+                (b - a) * samples
+            )
+            cursor = start + (b - a) * samples
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WalkIndex:
     """``samples`` reverse walks per node, endpoint-indexed per level.
 
     Attributes
     ----------
-    endpoints:
-        ``uint32`` array of shape ``(walk_length, num_nodes, samples)``;
-        ``endpoints[l - 1, i, r]`` is walk ``r`` of node ``i`` after
-        ``l`` steps, or :data:`DEAD` if the walk was absorbed.
     sources:
         ``uint32`` concatenation of every level's inverted buckets,
         one entry per distinct (source, endpoint) pair.
@@ -85,6 +167,8 @@ class WalkIndex:
     level_offsets:
         ``int64`` array of shape ``(walk_length + 1,)``; where each
         level's buckets start inside :attr:`sources`.
+    samples:
+        Independent walks drawn per node.
     seed:
         The RNG seed the walks were drawn with — part of the index
         fingerprint, so equal seeds mean bit-identical estimates.
@@ -92,45 +176,43 @@ class WalkIndex:
     Examples
     --------
     Walks die at in-degree-0 nodes, exactly like the exact kernel's
-    absorbing transition rows:
+    absorbing transition rows. Node 0 has no in-edges; node 1's only
+    in-neighbour is 0; node 2's are 0 and 1:
 
-    >>> import numpy as np
     >>> from repro.graph.digraph import DiGraph
     >>> from repro.graph.matrices import backward_transition_matrix
     >>> g = DiGraph(3, edges=[(0, 1), (0, 2), (1, 2)])
     >>> q = backward_transition_matrix(g)
     >>> walks = WalkIndex.build(q, walk_length=2, samples=4, seed=0)
-    >>> walks.endpoints.shape
+    >>> walks.walk_length, walks.num_nodes, walks.samples
     (2, 3, 4)
-    >>> bool((walks.endpoints[0, 0] == DEAD).all())  # 0 has no in-edges
-    True
-    >>> sorted(set(walks.endpoints[0, 2].tolist())) == [0, 1]
-    True
+    >>> walks.bucket(1, 0).tolist()   # 1 always steps to 0, 2 may
+    [1, 2]
+    >>> walks.bucket(1, 2).tolist()   # nothing steps onto 2
+    []
 
-    The inverted buckets are the same data keyed by endpoint — every
-    source in ``bucket(l, w)`` has ``w`` as its step-``l`` endpoint:
+    Buckets are deduplicated; the aligned counts keep the walk
+    multiplicities, so no sampled mass is lost — after one step, the
+    four walks of node 1 and the four of node 2 are alive:
 
-    >>> all(
-    ...     walks.endpoints[0, int(src)].tolist().count(1) > 0
-    ...     for src in walks.bucket(1, 1)
-    ... )
-    True
+    >>> int(walks.counts[: int(walks.level_offsets[1])].sum())
+    8
 
-    Buckets are deduplicated; the aligned counts preserve the walk
-    multiplicities, so no sampled mass is lost:
+    An edit of node 0's in-edges re-draws only the walks standing on
+    node 0, and matches a fresh build:
 
-    >>> level_one = walks.counts[: int(walks.level_offsets[1])]
-    >>> int(level_one.sum()) == int((walks.endpoints[0] != DEAD).sum())
-    True
-    >>> WalkIndex.build(q, walk_length=2, samples=4, seed=0) == walks
+    >>> q2 = backward_transition_matrix(
+    ...     DiGraph(3, edges=[(0, 1), (0, 2), (1, 2), (2, 0)]))
+    >>> fresh = WalkIndex.build(q2, walk_length=2, samples=4, seed=0)
+    >>> walks.rewalked(q, q2, targets=[0]) == fresh
     True
     """
 
-    endpoints: np.ndarray
     sources: np.ndarray
     counts: np.ndarray
     indptr: np.ndarray
     level_offsets: np.ndarray
+    samples: int
     seed: int
 
     # ------------------------------------------------------------------
@@ -148,105 +230,59 @@ class WalkIndex:
 
         ``transition`` is the backward transition matrix ``Q`` in CSR
         form (row ``i`` holds the uniform step distribution over
-        ``i``'s in-neighbours). Sampling is fully vectorised — one
-        gather/draw pass per step over all ``num_nodes * samples``
-        walks at once — and deterministic per ``seed``.
+        ``i``'s in-neighbours). Sampling is fully vectorised — per
+        step, one draw of ``num_nodes * samples`` uniforms and one
+        gather over the walks still alive — and deterministic per
+        ``seed``. Each level is inverted into its buckets as soon as
+        it is drawn.
         """
         _validate_build_args(walk_length, samples)
         n = int(transition.shape[0])
-        if n >= DEAD:
+        if n > np.iinfo(np.uint32).max:
             raise ValueError(
-                f"graph has {n} nodes; walk endpoints are uint32 with "
-                f"{DEAD:#x} reserved for absorbed walks"
+                f"graph has {n} nodes; bucket sources are uint32"
             )
-        csr_indptr = np.asarray(transition.indptr, dtype=np.int64)
-        csr_indices = np.asarray(transition.indices, dtype=np.int64)
         rng = np.random.default_rng(seed)
-        # walk w = i * samples + r starts at node i
-        state = np.repeat(np.arange(n, dtype=np.int64), samples)
-        dead = np.zeros(n * samples, dtype=bool)
-        endpoints = np.empty((walk_length, n * samples), dtype=np.uint32)
-        for step in range(walk_length):
-            deg = np.where(
-                dead, 0, csr_indptr[state + 1] - csr_indptr[state]
+        indptr = np.zeros((walk_length, n + 1), dtype=np.int64)
+        source_parts, count_parts = [], []
+        levels = _walk_buckets(
+            transition,
+            np.arange(n, dtype=np.int64),
+            samples,
+            walk_length,
+            lambda step: rng.random(n * samples),
+        )
+        for step, (keys, multiplicity) in enumerate(levels):
+            source_parts.append((keys % n).astype(np.uint32))
+            count_parts.append(multiplicity.astype(np.uint16))
+            np.cumsum(
+                np.bincount(keys // n, minlength=n), out=indptr[step, 1:]
             )
-            dead |= deg == 0
-            draws = rng.random(state.size)
-            offset = np.minimum(
-                (draws * deg).astype(np.int64), np.maximum(deg - 1, 0)
-            )
-            choice = np.where(dead, 0, csr_indptr[state] + offset)
-            state = np.where(dead, state, csr_indices[choice])
-            endpoints[step] = np.where(dead, DEAD, state)
-        sources, counts, indptr, level_offsets = cls._invert(
-            endpoints, n, samples
+        level_offsets = np.zeros(walk_length + 1, dtype=np.int64)
+        level_offsets[1:] = np.cumsum(
+            [part.size for part in source_parts], dtype=np.int64
         )
         return cls(
-            endpoints=endpoints.reshape(walk_length, n, samples),
-            sources=sources,
-            counts=counts,
+            sources=np.concatenate(
+                [np.empty(0, dtype=np.uint32), *source_parts]
+            ),
+            counts=np.concatenate(
+                [np.empty(0, dtype=np.uint16), *count_parts]
+            ),
             indptr=indptr,
             level_offsets=level_offsets,
+            samples=samples,
             seed=seed,
         )
-
-    @staticmethod
-    def _invert(
-        endpoints_flat: np.ndarray, num_nodes: int, samples: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-level deduplicated endpoint-to-sources buckets.
-
-        Absorbed walks drop out; repeat (source, endpoint) pairs
-        collapse to one entry with a multiplicity count.
-        """
-        walk_length = endpoints_flat.shape[0]
-        walk_source = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), samples
-        )
-        source_parts, count_parts = [], []
-        indptr = np.zeros(
-            (walk_length, num_nodes + 1), dtype=np.int64
-        )
-        for step in range(walk_length):
-            level = endpoints_flat[step]
-            alive = level != DEAD
-            keys = level[alive].astype(np.int64) * num_nodes + (
-                walk_source[alive]
-            )
-            pairs, multiplicity = np.unique(keys, return_counts=True)
-            source_parts.append(
-                (pairs % num_nodes).astype(np.uint32)
-            )
-            count_parts.append(multiplicity.astype(np.uint16))
-            bucket_sizes = np.bincount(
-                pairs // num_nodes, minlength=num_nodes
-            )
-            np.cumsum(bucket_sizes, out=indptr[step, 1:])
-        level_offsets = np.zeros(walk_length + 1, dtype=np.int64)
-        if source_parts:
-            np.cumsum(
-                [p.size for p in source_parts], out=level_offsets[1:]
-            )
-        sources = (
-            np.concatenate(source_parts)
-            if source_parts
-            else np.empty(0, dtype=np.uint32)
-        )
-        counts = (
-            np.concatenate(count_parts)
-            if count_parts
-            else np.empty(0, dtype=np.uint16)
-        )
-        return sources, counts, indptr, level_offsets
 
     @classmethod
     def from_arrays(
         cls,
-        endpoints: np.ndarray,
         sources: np.ndarray,
         counts: np.ndarray,
         indptr: np.ndarray,
         level_offsets: np.ndarray,
+        samples: int,
         seed: int = 0,
     ) -> "WalkIndex":
         """Reassemble a walk index from its (possibly mmap'd) arrays.
@@ -256,23 +292,17 @@ class WalkIndex:
         integrity (checksums, bucket invariants) is the store's
         ``verify_index`` job.
         """
-        endpoints = np.asarray(endpoints)
         sources = np.asarray(sources)
         counts = np.asarray(counts)
         indptr = np.asarray(indptr)
         level_offsets = np.asarray(level_offsets)
-        if endpoints.ndim != 3 or endpoints.dtype != np.uint32:
+        if indptr.ndim != 2 or indptr.shape[1] < 1:
             raise ValueError(
-                "endpoints must be a uint32 array of shape "
-                f"(walk_length, num_nodes, samples), got "
-                f"{endpoints.dtype} {endpoints.shape}"
+                "indptr must have shape (walk_length, num_nodes + 1), "
+                f"got {indptr.shape}"
             )
-        walk_length, num_nodes, _ = endpoints.shape
-        if indptr.shape != (walk_length, num_nodes + 1):
-            raise ValueError(
-                f"indptr shape {indptr.shape} disagrees with "
-                f"endpoints shape {endpoints.shape}"
-            )
+        walk_length = indptr.shape[0]
+        _validate_build_args(walk_length, int(samples))
         if level_offsets.shape != (walk_length + 1,):
             raise ValueError(
                 f"level_offsets shape {level_offsets.shape} disagrees "
@@ -294,13 +324,149 @@ class WalkIndex:
                 f"ends at {int(level_offsets[-1])}"
             )
         return cls(
-            endpoints=endpoints,
             sources=sources,
             counts=counts,
             indptr=indptr,
             level_offsets=level_offsets,
+            samples=int(samples),
             seed=int(seed),
         )
+
+    # ------------------------------------------------------------------
+    # incremental maintenance
+    # ------------------------------------------------------------------
+    def rewalked(
+        self,
+        old_transition: sp.csr_array,
+        new_transition: sp.csr_array,
+        targets,
+    ) -> "WalkIndex":
+        """This index after an edit that replaced ``targets``' rows of
+        ``Q``, equal byte for byte to ``build(new_transition, ...)``.
+
+        ``self`` must be the walks of ``old_transition``, and the two
+        matrices may differ only in the rows ``targets``. A walk uses
+        row ``v`` only while it stands on ``v`` before its last step,
+        so only the sources in ``bucket(l, v)`` for ``l <
+        walk_length`` (and the targets themselves, at level 0) can
+        change. Their walks are drawn again from the regenerated
+        uniforms, once on each matrix, and each level's buckets are
+        patched by the difference. Raises ``ValueError`` when the old
+        walks are not in this index (it was drawn on another matrix).
+        """
+        n, samples = self.num_nodes, self.samples
+        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        if self.walk_length == 0 or targets.size == 0:
+            return self
+        parts = [targets]
+        for level in range(1, self.walk_length):
+            row = self.indptr[level - 1]
+            parts.append(self.sources[_multi_range(
+                int(self.level_offsets[level - 1]) + row[targets],
+                row[targets + 1] - row[targets],
+            )])
+        origins = np.unique(np.concatenate(parts).astype(np.int64))
+        draws = _regenerate_draws(
+            self.seed, n, samples, self.walk_length, origins
+        )
+        old_levels = _walk_buckets(
+            old_transition, origins, samples, self.walk_length,
+            draws.__getitem__,
+        )
+        new_levels = _walk_buckets(
+            new_transition, origins, samples, self.walk_length,
+            draws.__getitem__,
+        )
+        indptr = np.array(self.indptr, dtype=np.int64)
+        drop_parts, at_parts, src_parts, cnt_parts = [], [], [], []
+        for level, ((old_keys, old_counts), (new_keys, new_counts)) in (
+            enumerate(zip(old_levels, new_levels), start=1)
+        ):
+            _, old_at, new_at = np.intersect1d(
+                old_keys, new_keys, assume_unique=True,
+                return_indices=True,
+            )
+            same = old_counts[old_at] == new_counts[new_at]
+            gone = np.ones(old_keys.size, dtype=bool)
+            gone[old_at[same]] = False
+            come = np.ones(new_keys.size, dtype=bool)
+            come[new_at[same]] = False
+            old_nodes, old_srcs = np.divmod(old_keys, n)
+            come_nodes, come_srcs = np.divmod(new_keys[come], n)
+            held = self._bucket_positions(level, old_nodes, old_srcs)
+            ends = (
+                int(self.level_offsets[level - 1])
+                + self.indptr[level - 1][old_nodes + 1]
+            )
+            found = held < ends
+            found[found] = (
+                (self.sources[held[found]] == old_srcs[found])
+                & (self.counts[held[found]] == old_counts[found])
+            )
+            if not found.all():
+                raise ValueError(
+                    "walk index disagrees with the transition matrix "
+                    "it is being patched from"
+                )
+            drop_parts.append(held[gone])
+            at_parts.append(
+                self._bucket_positions(level, come_nodes, come_srcs)
+            )
+            src_parts.append(come_srcs.astype(np.uint32))
+            cnt_parts.append(new_counts[come].astype(np.uint16))
+            indptr[level - 1, 1:] += np.cumsum(
+                np.bincount(come_nodes, minlength=n)
+                - np.bincount(old_nodes[gone], minlength=n)
+            )
+        level_offsets = np.zeros(self.walk_length + 1, dtype=np.int64)
+        np.cumsum(indptr[:, -1], out=level_offsets[1:])
+        # both position lists are level-major and key-sorted, so
+        # ascending: at each changed position, drop the entry there if
+        # it went and insert the new entries that sort before it
+        drop = np.concatenate(drop_parts)
+        at = np.concatenate(at_parts)
+        cuts = np.union1d(drop, at)
+        ranges = (
+            cuts.tolist(),
+            (cuts + np.isin(cuts, drop)).tolist(),
+            np.searchsorted(at, cuts, side="left").tolist(),
+            np.searchsorted(at, cuts, side="right").tolist(),
+        )
+        return WalkIndex(
+            sources=_splice_ranges(
+                self.sources, np.concatenate(src_parts), *ranges
+            ),
+            counts=_splice_ranges(
+                self.counts, np.concatenate(cnt_parts), *ranges
+            ),
+            indptr=indptr,
+            level_offsets=level_offsets,
+            samples=samples,
+            seed=self.seed,
+        )
+
+    def _bucket_positions(
+        self, level: int, nodes: np.ndarray, srcs: np.ndarray
+    ) -> np.ndarray:
+        """Per pair, the index into :attr:`sources` of the first entry
+        of ``bucket(level, nodes[i])`` whose source is ``>= srcs[i]``.
+
+        One vectorised binary search over all pairs at once (each
+        bucket's sources are sorted).
+        """
+        row = self.indptr[level - 1]
+        base = int(self.level_offsets[level - 1])
+        lo = base + row[nodes]
+        hi = base + row[nodes + 1]
+        last = max(self.sources.size - 1, 0)
+        while True:
+            active = lo < hi
+            if not active.any():
+                return lo
+            mid = (lo + hi) >> 1
+            right = active & (self.sources[np.minimum(mid, last)] < srcs)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(active & ~right, mid, hi)
 
     # ------------------------------------------------------------------
     # shape / access
@@ -308,23 +474,17 @@ class WalkIndex:
     @property
     def walk_length(self) -> int:
         """Number of recorded step levels (level 0 is analytic)."""
-        return int(self.endpoints.shape[0])
+        return int(self.indptr.shape[0])
 
     @property
     def num_nodes(self) -> int:
-        return int(self.endpoints.shape[1])
-
-    @property
-    def samples(self) -> int:
-        """Independent walks drawn per node."""
-        return int(self.endpoints.shape[2])
+        return int(self.indptr.shape[1]) - 1
 
     @property
     def nbytes(self) -> int:
         """Total bytes across all stored arrays (mmap'd or not)."""
         return int(
-            self.endpoints.nbytes
-            + self.sources.nbytes
+            self.sources.nbytes
             + self.counts.nbytes
             + self.indptr.nbytes
             + self.level_offsets.nbytes
@@ -364,8 +524,8 @@ class WalkIndex:
             return NotImplemented
         return (
             self.seed == other.seed
-            and self.endpoints.shape == other.endpoints.shape
-            and bool(np.array_equal(self.endpoints, other.endpoints))
+            and self.samples == other.samples
+            and self.indptr.shape == other.indptr.shape
             and bool(np.array_equal(self.sources, other.sources))
             and bool(np.array_equal(self.counts, other.counts))
             and bool(np.array_equal(self.indptr, other.indptr))

@@ -173,21 +173,33 @@ class ThreadWorkerPool:
         the column memo private. Every engine is built before any is
         installed, so a failed prepare leaves no worker — and no later
         respawn — holding the aborted generation.
+
+        Preparing a generation the pool already holds (a promoted
+        canary) is an adoption: workers keep their engines and warm
+        memos, and only a worker that lost the generation gets one.
         """
         if not self.started:
             return
         from repro.engine.engine import SimilarityEngine
 
-        index = snapshot.engine.export_index()
-        graph = snapshot.graph
-        config = snapshot.engine.config
+        with self._lock:
+            source = self._sources.get(snapshot.seq)
+        if source is None:
+            source = (
+                snapshot.engine.export_index(),
+                snapshot.graph,
+                snapshot.engine.config,
+            )
+        missing = [
+            worker for worker in self._workers
+            if snapshot.seq not in worker.engines
+        ]
         engines = [
-            SimilarityEngine.from_index(index, graph, config)
-            for _ in self._workers
+            SimilarityEngine.from_index(*source) for _ in missing
         ]
         with self._lock:
-            self._sources[snapshot.seq] = (index, graph, config)
-        for worker, engine in zip(self._workers, engines):
+            self._sources[snapshot.seq] = source
+        for worker, engine in zip(missing, engines):
             worker.engines[snapshot.seq] = engine
 
     def commit(self, seq: int) -> None:

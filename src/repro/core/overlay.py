@@ -12,9 +12,9 @@ the exact same ``csr_matvecs`` accumulation a compacted matrix would
 run, so results are bit-identical, not merely close.
 
 Overlays chain (a second delta over an un-compacted first) via
-:meth:`with_rows`, and :meth:`tocsr` compacts back to a clean CSR with
-one vectorised splice when :attr:`patch_fraction` crosses the caller's
-lazy-compaction threshold.
+:meth:`with_rows`, and :meth:`tocsr` compacts back to a clean CSR by
+splicing contiguous slices when :attr:`patch_fraction` crosses the
+caller's lazy-compaction threshold.
 """
 
 from __future__ import annotations
@@ -23,6 +23,32 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["CsrOverlay"]
+
+
+def _splice_ranges(
+    old: np.ndarray,
+    values: np.ndarray,
+    old_starts: list[int],
+    old_ends: list[int],
+    value_starts: list[int],
+    value_ends: list[int],
+) -> np.ndarray:
+    """``old`` with ``old[old_starts[j]:old_ends[j]]`` replaced by
+    ``values[value_starts[j]:value_ends[j]]`` for every ``j``.
+
+    The ranges are ascending and disjoint (empty ones insert or delete
+    only). The result concatenates contiguous slices: a memcpy plus a
+    Python step per range, cheap when few ranges change.
+    """
+    pieces = []
+    resume = 0
+    for lo, hi, value_lo, value_hi in zip(
+        old_starts, old_ends, value_starts, value_ends
+    ):
+        pieces += (old[resume:lo], values[value_lo:value_hi])
+        resume = hi
+    pieces.append(old[resume:])
+    return np.concatenate(pieces).astype(old.dtype, copy=False)
 
 
 class CsrOverlay:
@@ -252,51 +278,40 @@ class CsrOverlay:
         return CsrOverlay(self.base, merged, patch)
 
     def tocsr(self) -> sp.csr_array:
-        """Compact to a clean CSR with one vectorised splice.
+        """Compact to a clean CSR by splicing contiguous slices.
 
-        Untouched rows are byte-copied from the base; patch rows come
-        from the side CSR. No per-row Python loop.
+        Each run of consecutive patch rows replaces one contiguous
+        range of the base buffers with one contiguous slice of the
+        patch. The cost is a memcpy plus a Python step per run, so it
+        suits the few scattered rows one delta patches.
         """
-        base, patch = self.base, self.patch
+        base, patch, rows = self.base, self.patch, self.patch_rows
         n = base.shape[0]
-        base_counts = np.diff(base.indptr)
-        counts = base_counts.copy()
-        counts[self.patch_rows] = np.diff(patch.indptr)
+        base_indptr = np.asarray(base.indptr, dtype=np.int64)
+        patch_indptr = np.asarray(patch.indptr, dtype=np.int64)
+        counts = np.diff(base_indptr)
+        counts[rows] = np.diff(patch_indptr)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
         # keep the base's index dtype so untouched arrays stay
         # byte-compatible with a fresh build (scipy picks int32 when
         # the matrix is small enough)
         idx_dtype = base.indptr.dtype
-        if nnz <= np.iinfo(idx_dtype).max:
+        if indptr[-1] <= np.iinfo(idx_dtype).max:
             indptr = indptr.astype(idx_dtype, copy=False)
-        indices = np.empty(nnz, dtype=base.indices.dtype)
-        data = np.empty(nnz, dtype=base.data.dtype)
-        patched = np.zeros(n, dtype=bool)
-        patched[self.patch_rows] = True
-        entry_rows = np.repeat(
-            np.arange(n, dtype=np.intp), base_counts
+        # each run of consecutive patch rows rows[firsts[j]:ends[j]]
+        # replaces one contiguous range of base entries
+        gaps = np.flatnonzero(np.diff(rows) != 1) + 1
+        firsts = np.concatenate(([0], gaps)) if rows.size else gaps
+        ends = np.concatenate((gaps, [rows.size])) if rows.size else gaps
+        ranges = (
+            base_indptr[rows[firsts]].tolist(),
+            base_indptr[rows[ends - 1] + 1].tolist(),
+            patch_indptr[firsts].tolist(),
+            patch_indptr[ends].tolist(),
         )
-        src = np.flatnonzero(~patched[entry_rows])
-        if src.size:
-            rows = entry_rows[src]
-            dest = indptr[rows] + (src - base.indptr[rows])
-            indices[dest] = base.indices[src]
-            data[dest] = base.data[src]
-        if patch.nnz:
-            within = np.repeat(
-                np.arange(self.patch_rows.size, dtype=np.intp),
-                np.diff(patch.indptr),
-            )
-            rows = self.patch_rows[within]
-            rank = (
-                np.arange(patch.nnz, dtype=np.int64)
-                - patch.indptr[within]
-            )
-            dest = indptr[rows] + rank
-            indices[dest] = patch.indices
-            data[dest] = patch.data
+        indices = _splice_ranges(base.indices, patch.indices, *ranges)
+        data = _splice_ranges(base.data, patch.data, *ranges)
         return sp.csr_array(
             (data, indices, indptr), shape=base.shape
         )

@@ -9,19 +9,26 @@ applies an edge batch *to the artifacts themselves*:
   so the new matrix is the untouched base plus a per-row patch —
   a :class:`~repro.core.overlay.CsrOverlay` consulted directly by the
   kernels, lazily compacted once the patch outgrows
-  ``max_overlay_fraction`` of the base.
+  ``max_overlay_fraction`` of the base. Approx mode compacts it on
+  every edit, because the walk patch and the estimator read raw CSR
+  buffers; compaction copies the untouched rows as contiguous slices.
 * ``Q^T``: structure changes only in edit **source** rows (row ``u``
   lists ``O(u)``), and every value is a pure gather of the per-column
-  scale table ``1/|I(i)|`` — one vectorised row splice plus one gather
+  scale table ``1/|I(i)|`` — one slice splice plus one gather
   rebuilds it exactly.
 * biclique factors: touched rows are *demoted* out of their bicliques
   (``E_direct`` row := the full new in-adjacency, ``H_out`` row :=
   empty), preserving ``A^T = E_direct + H_out H_in`` while keeping
   every untouched factor row bit-identical; a later
   ``python -m repro.index compact`` / full rebuild re-compresses.
-* walks (approx mode): redrawn from the updated ``Q`` with the same
-  seed — the sampler's draw sequence is position-determined, so this
-  reproduces exactly what a from-scratch rebuild would draw.
+* walks (approx mode): only walks that stand on an edit **target**
+  before their last step can change, and those are the sources in the
+  targets' buckets. Their walks are drawn again from the same uniforms
+  (the sampler's draw sequence is position-determined, so
+  ``PCG64.advance`` regenerates them), once on the old ``Q`` and once
+  on the new, and each level's buckets are patched by the difference
+  — exactly what a from-scratch rebuild would draw, at a cost set by
+  the affected walks, not by the index size.
 
 Values are computed with the same operations (``np.divide`` of the
 same operands, the same CSR kernels) as a fresh build, so delta-path
@@ -450,23 +457,15 @@ def apply_delta(
         new_ho = CsrOverlay(h_out, q_rows, empty).tocsr()
         factors = (new_ed, new_ho, h_in)
 
-    # -- lazy compaction / walk redraw ---------------------------------
+    # -- lazy compaction / walk patch ----------------------------------
     walks = None
-    needs_plain = (
-        base_index.walks is not None
-        or new_q.patch_fraction > max_overlay_fraction
-    )
-    if isinstance(new_q, CsrOverlay) and needs_plain:
-        new_q = new_q.tocsr()
     if base_index.walks is not None:
-        from repro.approx.walks import WalkIndex
-
-        walks = WalkIndex.build(
-            new_q,
-            walk_length=meta.walk_length,
-            samples=meta.walk_samples,
-            seed=meta.seed,
-        )
+        # the re-walk and the estimator read raw CSR buffers
+        old_q = q.tocsr() if isinstance(q, CsrOverlay) else q
+        new_q = new_q.tocsr()
+        walks = base_index.walks.rewalked(old_q, new_q, q_rows)
+    elif new_q.patch_fraction > max_overlay_fraction:
+        new_q = new_q.tocsr()
 
     new_index = SimilarityIndex(
         meta=new_meta,

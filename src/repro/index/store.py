@@ -100,9 +100,6 @@ def _flat_arrays(index) -> tuple[dict[str, np.ndarray], dict]:
         )
     if index.walks is not None:
         walks = index.walks
-        arrays["walks/endpoints"] = np.ascontiguousarray(
-            walks.endpoints
-        )
         arrays["walks/sources"] = np.ascontiguousarray(walks.sources)
         arrays["walks/counts"] = np.ascontiguousarray(walks.counts)
         arrays["walks/indptr"] = np.ascontiguousarray(walks.indptr)
@@ -409,16 +406,19 @@ def load_index(path: str | Path, mmap: bool = True):
         else None
     )
     walks = None
-    if "walks/endpoints" in arrays:
+    # files written before the walk index dropped its per-walk
+    # endpoint array still carry a walks/endpoints segment; nothing
+    # reads it
+    if "walks/sources" in arrays:
         from repro.approx.walks import WalkIndex
 
         try:
             walks = WalkIndex.from_arrays(
-                array("walks/endpoints"),
                 array("walks/sources"),
                 array("walks/counts"),
                 array("walks/indptr"),
                 array("walks/level_offsets"),
+                samples=meta.walk_samples,
                 seed=meta.seed,
             )
         except IndexFormatError:
@@ -533,15 +533,15 @@ def _verify_walks(
 
     Checksums (already verified by the caller) catch flipped bytes;
     these checks catch a header/payload combination that is internally
-    consistent but describes impossible walks — endpoints outside the
+    consistent but describes impossible walks — sources outside the
     node range, non-monotone bucket boundaries, a sources array that
-    disagrees with its level offsets.
+    disagrees with its level offsets, a source with more walks at a
+    level than it drew, or a source whose walks grow from one level to
+    the next (walks only die).
     """
     arrays = header["arrays"]
-    if "walks/endpoints" not in arrays:
+    if "walks/sources" not in arrays:
         return []
-    from repro.approx.walks import DEAD
-
     problems: list[str] = []
 
     def load(name: str) -> np.ndarray:
@@ -550,40 +550,34 @@ def _verify_walks(
         )
 
     try:
-        endpoints = load("walks/endpoints")
         sources = load("walks/sources")
         counts = load("walks/counts")
         indptr = load("walks/indptr")
         level_offsets = load("walks/level_offsets")
-    except (KeyError, IndexFormatError) as exc:
+        meta = header["meta"]
+        walk_length = int(meta["walk_length"])
+        num_nodes = int(meta["num_nodes"])
+        samples = int(meta["walk_samples"])
+    except (KeyError, TypeError, ValueError, IndexFormatError) as exc:
         return [f"walks: segment set incomplete or unreadable: {exc}"]
-    if endpoints.ndim != 3:
-        return [f"walks: endpoints has rank {endpoints.ndim}, not 3"]
-    walk_length, num_nodes, samples = endpoints.shape
     if indptr.shape != (walk_length, num_nodes + 1):
-        problems.append(
+        return [
             f"walks: indptr shape {indptr.shape} disagrees with "
-            f"endpoints {endpoints.shape}"
-        )
-        return problems
+            f"walk_length {walk_length} over {num_nodes} nodes"
+        ]
     if level_offsets.shape != (walk_length + 1,):
-        problems.append(
+        return [
             f"walks: level_offsets shape {level_offsets.shape} "
             f"disagrees with walk_length {walk_length}"
-        )
-        return problems
-    live = endpoints[endpoints != DEAD]
-    if live.size and live.max() >= num_nodes:
-        problems.append(
-            f"walks: endpoint {int(live.max())} out of range for "
-            f"{num_nodes} nodes"
-        )
+        ]
     if np.any(np.diff(indptr, axis=-1) < 0) or np.any(
         indptr[:, 0] != 0
     ):
         problems.append("walks: bucket indptr not monotone from 0")
-    if np.any(np.diff(level_offsets) < 0) or (
-        walk_length and int(level_offsets[-1]) != sources.size
+    if (
+        np.any(level_offsets[1:] - level_offsets[:-1] != indptr[:, -1])
+        or level_offsets[0] != 0
+        or int(level_offsets[-1]) != sources.size
     ):
         problems.append(
             "walks: level offsets disagree with sources length"
@@ -605,4 +599,20 @@ def _verify_walks(
             "walks: bucket count outside [1, samples] "
             f"(samples={samples})"
         )
+    if problems:
+        return problems
+    # walks alive per (level, source): at most samples, never growing
+    previous = np.full(num_nodes, samples, dtype=np.int64)
+    for level in range(walk_length):
+        lo, hi = int(level_offsets[level]), int(level_offsets[level + 1])
+        alive = np.bincount(
+            sources[lo:hi], weights=counts[lo:hi], minlength=num_nodes
+        ).astype(np.int64)
+        if np.any(alive > previous):
+            problems.append(
+                f"walks: level {level + 1} holds more walks of a "
+                "source than it drew or than the level before"
+            )
+            break
+        previous = alive
     return problems

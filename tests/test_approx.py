@@ -16,13 +16,13 @@ Four concerns, mirroring the subsystem's layers:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from repro.approx import (
-    DEAD,
     DEFAULT_EPSILON,
     WalkIndex,
     approx_params,
@@ -59,6 +59,33 @@ APPROX = SimilarityConfig(
 # ---------------------------------------------------------------------------
 # walk index
 # ---------------------------------------------------------------------------
+def reference_endpoints(q, walk_length, samples, seed) -> np.ndarray:
+    """A plain per-walk reference walker.
+
+    ``out[l - 1, i, r]`` is where walk ``r`` of node ``i`` stands after
+    ``l`` steps, ``-1`` once it died at an in-degree-0 node. Each step
+    draws ``rng.random(n * samples)``; walk ``i * samples + r`` takes
+    its entry whether it is alive or not.
+    """
+    n = q.shape[0]
+    rng = np.random.default_rng(seed)
+    out = np.full((walk_length, n, samples), -1, dtype=np.int64)
+    pos = [node for node in range(n) for _ in range(samples)]
+    for step in range(walk_length):
+        draws = rng.random(n * samples)
+        for walk, node in enumerate(pos):
+            if node < 0:
+                continue
+            lo, hi = int(q.indptr[node]), int(q.indptr[node + 1])
+            if lo == hi:
+                pos[walk] = -1
+                continue
+            pick = min(int(draws[walk] * (hi - lo)), hi - lo - 1)
+            pos[walk] = int(q.indices[lo + pick])
+            out[step, walk // samples, walk % samples] = pos[walk]
+    return out
+
+
 def test_walk_index_is_deterministic_per_seed():
     q = backward_transition_matrix(small_graph())
     a = WalkIndex.build(q, walk_length=3, samples=16, seed=5)
@@ -68,16 +95,74 @@ def test_walk_index_is_deterministic_per_seed():
     assert a != c
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        small_graph(),
+        DiGraph(4),  # edgeless: every walk dies at once
+        DiGraph(3, edges=[(0, 0), (0, 1), (1, 1), (2, 1)]),
+        DiGraph(0),
+    ],
+    ids=["small", "edgeless", "self-loops", "empty"],
+)
+def test_walk_build_matches_reference_walker(graph):
+    """Pins the RNG layout the walk delta regenerates draws from."""
+    q = backward_transition_matrix(graph)
+    walks = WalkIndex.build(q, walk_length=3, samples=5, seed=4)
+    endpoints = reference_endpoints(q, 3, 5, seed=4)
+    n = graph.num_nodes
+    assert walks.level_offsets[0] == 0
+    for level in range(1, 4):
+        pairs = {}
+        for src in range(n):
+            for node in endpoints[level - 1, src]:
+                if node >= 0:
+                    key = (int(node), src)
+                    pairs[key] = pairs.get(key, 0) + 1
+        keys = sorted(pairs)
+        lo = int(walks.level_offsets[level - 1])
+        hi = int(walks.level_offsets[level])
+        assert walks.sources[lo:hi].tolist() == [s for _, s in keys]
+        assert walks.counts[lo:hi].tolist() == [pairs[k] for k in keys]
+        sizes = np.bincount(
+            [v for v, _ in keys], minlength=n
+        ).astype(np.int64)
+        np.testing.assert_array_equal(
+            walks.indptr[level - 1], np.concatenate(([0], np.cumsum(sizes)))
+        )
+
+
+def test_pcg64_advance_then_random_returns_draw_k():
+    """One 64-bit PCG64 output per double: what the walk delta's
+    ``advance`` arithmetic relies on."""
+    stream = np.random.default_rng(21).random(5000)
+    for k in (0, 1, 63, 4096, 4999):
+        bitgen = np.random.PCG64(21)
+        bitgen.advance(k)
+        assert np.random.Generator(bitgen).random() == stream[k]
+
+
+def test_rewalk_refuses_walks_of_another_matrix():
+    """The patch re-walks the touched sources on the old matrix and
+    must find exactly those walks in the index."""
+    drawn_on = backward_transition_matrix(
+        DiGraph(3, edges=[(0, 2), (1, 2)]))
+    claimed_old = backward_transition_matrix(DiGraph(3, edges=[(0, 2)]))
+    new = backward_transition_matrix(DiGraph(3, edges=[(0, 2), (2, 0)]))
+    walks = WalkIndex.build(drawn_on, walk_length=2, samples=8, seed=3)
+    with pytest.raises(ValueError, match="disagrees"):
+        walks.rewalked(claimed_old, new, targets=[0])
+
+
 def test_walk_bucket_counts_preserve_multiplicity():
     q = backward_transition_matrix(small_graph())
     walks = WalkIndex.build(q, walk_length=2, samples=32, seed=1)
+    endpoints = reference_endpoints(q, 2, 32, seed=1)
     for level in range(1, walks.walk_length + 1):
         lo = int(walks.level_offsets[level - 1])
         hi = int(walks.level_offsets[level])
         counts = walks.counts[lo:hi]
-        alive = int(
-            (walks.endpoints[level - 1] != DEAD).sum()
-        )
+        alive = int((endpoints[level - 1] >= 0).sum())
         # dedup drops repeats from sources but never sampled mass
         assert int(counts.sum()) == alive
         if counts.size:
@@ -88,10 +173,10 @@ def test_walk_bucket_counts_preserve_multiplicity():
 def test_walk_bucket_sources_match_endpoints():
     q = backward_transition_matrix(small_graph())
     walks = WalkIndex.build(q, walk_length=2, samples=16, seed=2)
+    endpoints = reference_endpoints(q, 2, 16, seed=2)
     for node in range(walks.num_nodes):
         for src in walks.bucket(1, node):
-            endpoints = walks.endpoints[0, int(src)].tolist()
-            assert node in endpoints
+            assert node in endpoints[0, int(src)].tolist()
 
 
 def test_walk_build_rejects_bad_geometry():
@@ -212,6 +297,34 @@ def test_engine_routes_topk_and_batch_through_estimator():
     assert stats["topk_queries"] + stats["columns"] >= 2
 
 
+def test_approx_engine_answers_on_edgeless_graph():
+    exact = SimilarityEngine(
+        DiGraph(3), SimilarityConfig(measure="gSR*", num_iterations=8)
+    )
+    approx = SimilarityEngine(DiGraph(3), APPROX)
+    assert approx.top_k(0, k=2).nodes == exact.top_k(0, k=2).nodes
+
+
+@pytest.mark.parametrize("max_delta_fraction", [1.0, 0.1])
+def test_approx_mutate_can_remove_the_last_edge(max_delta_fraction):
+    """The delta path (whole batch eligible) and the full rebuild
+    (batch over the delta budget) both reach an edgeless graph."""
+    from repro.serve.snapshot import SnapshotManager
+
+    manager = SnapshotManager(
+        DiGraph(3, edges=[(0, 1)]),
+        APPROX,
+        max_delta_fraction=max_delta_fraction,
+    )
+    manager.warmup()
+    snapshot = manager.mutate(remove=[(0, 1)])
+    assert snapshot.graph.num_edges == 0
+    delta = manager.describe()["delta"]
+    assert delta["fallbacks"] == 0
+    assert delta["swaps"] == (1 if max_delta_fraction == 1.0 else 0)
+    assert len(snapshot.engine.top_k(1, k=2).nodes) == 2
+
+
 def test_exact_engine_reports_no_approx_status():
     engine = SimilarityEngine(
         small_graph(),
@@ -248,6 +361,60 @@ def test_simidx_round_trips_walk_segments(tmp_path):
     np.testing.assert_array_equal(
         original.columns([4])[4], adopted.columns([4])[4]
     )
+
+
+def test_legacy_endpoints_segment_is_ignored(tmp_path):
+    """Files from before the walk index dropped its endpoint array
+    carry a walks/endpoints segment; they keep loading and verifying."""
+    from repro.index.store import _flat_arrays, write_container
+
+    index = build_approx_index()
+    arrays, csr_shapes = _flat_arrays(index)
+    walks = index.walks
+    arrays["walks/endpoints"] = np.zeros(
+        (walks.walk_length, walks.num_nodes, walks.samples),
+        dtype=np.uint32,
+    )
+    path = write_container(
+        tmp_path / "legacy.simidx",
+        {"meta": index.meta.to_dict(), "csr_shapes": csr_shapes},
+        arrays,
+    )
+    assert verify_index(path) == []
+    assert load_index(path).walks == walks
+
+
+def _with_counts(index, counts):
+    walks = index.walks
+    return dataclasses.replace(index, walks=WalkIndex.from_arrays(
+        walks.sources, counts, walks.indptr, walks.level_offsets,
+        samples=walks.samples, seed=walks.seed,
+    ))
+
+
+def test_verify_flags_impossible_walk_totals(tmp_path):
+    """Checksummed but impossible buckets: more walks of a source at a
+    level than it drew, or more than it had one level earlier."""
+    index = build_approx_index()
+    walks = index.walks
+    level_one = slice(0, int(walks.level_offsets[1]))
+    level_two = slice(int(walks.level_offsets[1]), int(walks.level_offsets[2]))
+
+    counts = walks.counts.copy()
+    counts[level_one] = walks.samples  # sources with 2+ endpoints overflow
+    path = _with_counts(index, counts).save(tmp_path / "over.simidx")
+    assert any("level 1" in p for p in verify_index(path))
+
+    alive = np.bincount(
+        walks.sources[level_two], weights=walks.counts[level_two],
+        minlength=walks.num_nodes,
+    )
+    grower = int(np.argmax(alive))
+    counts = walks.counts.copy()
+    counts[level_one][walks.sources[level_one] == grower] = 1
+    assert alive[grower] > np.sum(walks.sources[level_one] == grower)
+    path = _with_counts(index, counts).save(tmp_path / "grow.simidx")
+    assert any("level 2" in p for p in verify_index(path))
 
 
 def test_corrupt_walk_segment_is_reported(tmp_path):

@@ -11,6 +11,7 @@ to a full rebuild transparently) while the compact CLI folds chains
 offline.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.overlay import CsrOverlay
+from repro.datasets import scale_free_graph
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph import DiGraph, random_digraph
 from repro.index import (
@@ -89,23 +91,29 @@ class TestCopyWithEdits:
 
 
 class TestCsrOverlay:
-    def _overlay_pair(self, seed=3):
+    def _overlay_pair(self, seed=3, rows=(2, 7, 19)):
         rng = np.random.default_rng(seed)
         base = sp.random_array(
             (30, 30), density=0.2, random_state=rng, format="csr"
         )
         base.sort_indices()
-        rows = np.array([2, 7, 19])
+        rows = np.array(rows, dtype=np.intp)
         patch = base[rows, :].copy()
         patch.data = patch.data * 2.0
         return CsrOverlay(base, rows, patch), base, rows, patch
 
     def test_tocsr_merges_patched_rows(self):
-        overlay, base, rows, patch = self._overlay_pair()
-        merged = overlay.tocsr()
-        dense = base.toarray()
-        dense[rows] = patch.toarray()
-        np.testing.assert_array_equal(merged.toarray(), dense)
+        # scattered rows, runs touching both ends, no rows, every row
+        for rows in (
+            (2, 7, 19), (0, 1, 2, 10, 11, 28, 29), (), range(30)
+        ):
+            overlay, base, rows, patch = self._overlay_pair(rows=rows)
+            merged = overlay.tocsr()
+            dense = base.toarray()
+            dense[rows] = patch.toarray()
+            np.testing.assert_array_equal(merged.toarray(), dense)
+            assert merged.indptr.dtype == base.indptr.dtype
+            assert merged.has_sorted_indices
 
     def test_spmm_matches_merged_matmul(self):
         overlay, *_ = self._overlay_pair()
@@ -213,31 +221,106 @@ class TestApplyDeltaParity:
         )
 
 
+#: deepest chain the serving layer lets a walk index be patched through
+MAX_CHAIN_DEPTH = inspect.signature(SnapshotManager).parameters[
+    "max_chain_depth"
+].default
+
+
+def _walk_edit_batch(graph, rng):
+    """One seeded ``(add, remove)`` batch aimed at the walk delta.
+
+    Every batch edits the top in-degree hub (one in-edge out, one in),
+    removes some node's last in-edge, gives a node without in-edges
+    its first, toggles a self-loop, and adds a few random edges.
+    """
+    n = graph.num_nodes
+    heads, tails = graph.edge_arrays()
+    edges = set(zip(heads.tolist(), tails.tolist()))
+    indeg = np.bincount(tails, minlength=n)
+    add, remove = set(), set()
+
+    def add_into(v):
+        v = int(v)
+        for u in rng.permutation(n).tolist():
+            if (u, v) not in edges and (u, v) not in add:
+                add.add((u, v))
+                return
+
+    def remove_into(v):
+        remove.add((int(rng.choice(heads[tails == v])), int(v)))
+
+    hub = int(np.argmax(indeg))
+    if indeg[hub]:
+        remove_into(hub)
+    add_into(hub)
+    lonely = np.flatnonzero(indeg == 1)
+    if lonely.size:
+        remove_into(rng.choice(lonely))
+    bare = np.flatnonzero(indeg == 0)
+    if bare.size:
+        add_into(rng.choice(bare))
+    loop = int(rng.integers(n))
+    (remove if (loop, loop) in edges else add).add((loop, loop))
+    for _ in range(3):
+        add_into(int(rng.integers(n)))
+    return sorted(add), sorted(remove)
+
+
+def _assert_walks_identical(actual, expected):
+    assert (actual.samples, actual.seed) == (
+        expected.samples, expected.seed
+    )
+    for name in ("sources", "counts", "indptr", "level_offsets"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 class TestApplyDeltaApprox:
-    def test_approx_walniks_redrawn_deterministically(self):
-        graph = random_digraph(60, 360, seed=11)
-        config = SimilarityConfig(
-            measure="gSR*", mode="approx", num_iterations=5,
-            epsilon=0.25, seed=13,
-        )
-        base = SimilarityIndex.build(graph, config)
-        rng = np.random.default_rng(12)
-        add, remove = _random_batch(graph, rng, 9)
-        applied, _ = apply_delta(base, add, remove)
-        rebuilt = SimilarityIndex.build(
-            _edited(graph, add, remove), config
-        )
-        assert applied.meta == rebuilt.meta
-        assert applied.walks is not None
-        # same seed + same updated Q -> identical redraw, array for array
-        for name in (
-            "endpoints", "sources", "counts", "indptr", "level_offsets"
-        ):
-            np.testing.assert_array_equal(
-                getattr(applied.walks, name),
-                getattr(rebuilt.walks, name),
+    CONFIG = SimilarityConfig(
+        measure="gSR*", mode="approx", num_iterations=10, seed=13
+    )
+
+    @pytest.mark.parametrize(
+        "graph, edgeless_end",
+        [
+            (random_digraph(12, 30, seed=1), True),
+            (random_digraph(40, 160, seed=2), True),
+            (random_digraph(60, 120, seed=3), False),
+            (scale_free_graph(3000, avg_out_degree=8, seed=4), False),
+        ],
+        ids=["random-12", "random-40", "random-60", "scale-free-3000"],
+    )
+    def test_walk_delta_matches_rebuild_over_edit_chains(
+        self, graph, edgeless_end, tmp_path
+    ):
+        """After every batch of a chain as deep as the serving layer
+        allows, the patched walk buckets equal a fresh build's bit for
+        bit; a restart replaying the persisted segments lands on the
+        same buckets."""
+        rng = np.random.default_rng(graph.num_nodes)
+        index = SimilarityIndex.build(graph, self.CONFIG)
+        base_path = index.save(tmp_path / "g.simidx")
+        for depth in range(1, MAX_CHAIN_DEPTH + 1):
+            if edgeless_end and depth == MAX_CHAIN_DEPTH:
+                add, remove = [], list(graph.edges())
+            else:
+                add, remove = _walk_edit_batch(graph, rng)
+            index, delta = apply_delta(
+                index, add, remove, chain_depth=depth
             )
-        assert applied.walks.seed == rebuilt.walks.seed
+            save_delta(delta, delta_sibling_path(base_path, depth))
+            graph = _edited(graph, add, remove)
+            rebuilt = SimilarityIndex.build(graph, self.CONFIG)
+            assert index.meta == rebuilt.meta
+            _assert_walks_identical(index.walks, rebuilt.walks)
+        assert (graph.num_edges == 0) == edgeless_end
+        replayed = load_index(base_path)
+        for _, path in find_delta_siblings(base_path):
+            replayed, _ = apply_delta_file(replayed, path)
+        assert replayed.meta == rebuilt.meta
+        _assert_walks_identical(replayed.walks, rebuilt.walks)
 
 
 class TestDeltaSegments:

@@ -361,6 +361,54 @@ class TestCanaryLocal:
         assert document["counts"]["green"] == {"ok": 0, "errors": 0}
 
 
+class TestCanaryWithWorkers:
+    def test_promotion_keeps_the_workers_canary_engines(
+        self, monkeypatch
+    ):
+        """A promoted canary is adopted: no worker engine is rebuilt,
+        so the memos warmed during the canary survive."""
+        from repro.cluster import ThreadWorkerPool
+
+        built = []  # seqs whose prepare installed new worker engines
+        prepare = ThreadWorkerPool.prepare
+
+        def spy(pool, snapshot):
+            before = [w.engines.get(snapshot.seq) for w in pool._workers]
+            prepare(pool, snapshot)
+            after = [w.engines.get(snapshot.seq) for w in pool._workers]
+            if any(a is not b for a, b in zip(after, before)):
+                built.append(snapshot.seq)
+
+        monkeypatch.setattr(ThreadWorkerPool, "prepare", spy)
+        service = make_service(
+            graph=figure1_citation_graph(),
+            num_iterations=8,
+            cache_entries=0,
+            canary_min_requests=4,
+            workers=2,
+        )
+
+        async def main():
+            async with service:
+                canary = service.mutate_canary(
+                    add=[("a", "h")], fraction=0.5
+                )
+                workers = service.cluster.pool._workers
+                seq = canary.green.seq
+                during = [w.engines[seq] for w in workers]
+                for _ in range(40):
+                    await service.top_k("h", k=3)
+                    if canary.outcome:
+                        break
+                await asyncio.sleep(0.2)
+                return canary, during, [w.engines[seq] for w in workers]
+
+        canary, during, after = run(main())
+        assert canary.outcome == "promote"
+        assert built == [0, 1]
+        assert all(a is b for a, b in zip(during, after))
+
+
 class TestCanaryDecisions:
     def test_deterministic_traffic_split(self):
         canary = Canary("blue", "green", fraction=0.25)
