@@ -135,27 +135,26 @@ Over HTTP (stdlib only)::
 ``python -m repro.serve smoke`` is the self-contained serving health
 check (concurrent clients, coalescing assertions, latency histogram);
 ``examples/serving_demo.py`` walks all three mechanisms. For
-sustained distinct-query traffic, bound the engine's column memo with
-``SimilarityConfig.max_cached_columns`` (LRU or FIFO via
-``column_policy``) — the serving CLI defaults to 4096.
+sustained distinct-query traffic, bound the engine's LRU column memo
+with ``SimilarityConfig.max_cached_columns`` — the serving CLI
+defaults to 4096.
 
 Scale-out
 ---------
 One engine coalesces well but still computes alone. The measure
 family here is embarrassingly parallel across query *columns*, so
 :mod:`repro.cluster` shards each coalesced micro-batch across K
-worker threads, each with its own engine over one shared in-process
-index (the kernels release the GIL inside scipy/BLAS)::
+worker threads, all answering from the snapshot's one engine (the
+kernels release the GIL inside scipy/BLAS)::
 
     ServingService(graph, workers=4)                  # in code
     python -m repro.serve serve --workers 4 --index graph.simidx
 
-Mutations propagate with a two-phase swap (every worker prepares the
-new generation before the pointer flips; old generations are released
-only when their in-flight batches drain) and a crashed worker is
-respawned with its shard retried — the zero-failed-requests guarantee
-survives both. ``python -m repro.bench --cluster`` measures the
-scaling (``speedup_workers_4_vs_1``).
+A mutation is just the snapshot swap: each batch holds the snapshot
+it read until it is answered, and a crashed worker is respawned with
+its shard retried — the zero-failed-requests guarantee survives both.
+``python -m repro.bench --cluster`` measures the scaling
+(``speedup_workers_4_vs_1``).
 
 Fast restarts
 -------------
@@ -183,9 +182,9 @@ Packages
 * :mod:`repro.serve` — the async serving layer: micro-batch
   coalescing broker, versioned result cache, snapshot hot-swap,
   stdlib HTTP front end (``python -m repro.serve``).
-* :mod:`repro.cluster` — sharded serving on worker threads: a
-  thread pool over one shared in-process index, a shard router with
-  atomic snapshot pinning, two-phase hot-swap propagation.
+* :mod:`repro.cluster` — sharded serving on worker threads: worker
+  lanes over the snapshot's one engine, a shard router with
+  per-worker circuit breakers and respawn-and-retry.
 * :mod:`repro.graph` — the graph substrate (structure, matrices,
   generators, IO, stats).
 * :mod:`repro.core` — SimRank* itself: geometric / exponential forms,

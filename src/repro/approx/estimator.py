@@ -40,6 +40,7 @@ serving tier reports as ``early_terminations``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,9 @@ class ApproxEstimator:
         self.support_cap = int(support_cap)
         self.dtype = np.dtype(dtype)
         self.stats = ApproxStats()
+        # each call counts into its own tally and adds it here once:
+        # worker threads estimate concurrently on one estimator
+        self._stats_lock = threading.Lock()
         self._coef = coefficients
         self._q_indptr = np.asarray(transition.indptr, dtype=np.int64)
         self._q_indices = np.asarray(
@@ -202,8 +206,13 @@ class ApproxEstimator:
     # ------------------------------------------------------------------
     # exact sparse query side
     # ------------------------------------------------------------------
+    def _record(self, tally: ApproxStats) -> None:
+        with self._stats_lock:
+            for name, value in tally.__dict__.items():
+                setattr(self.stats, name, getattr(self.stats, name) + value)
+
     def _trim(
-        self, nodes: np.ndarray, values: np.ndarray
+        self, nodes: np.ndarray, values: np.ndarray, tally: ApproxStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bound a support's size with provably small dropped mass.
 
@@ -219,10 +228,10 @@ class ApproxEstimator:
             )
             keep = values > threshold
             if not keep.all():
-                self.stats.support_truncations += 1
+                tally.support_truncations += 1
                 return nodes[keep], values[keep]
             return nodes, values
-        self.stats.support_truncations += 1
+        tally.support_truncations += 1
         keep = np.argpartition(values, -self.support_cap)[
             -self.support_cap:
         ]
@@ -230,7 +239,7 @@ class ApproxEstimator:
         return nodes[keep], values[keep]
 
     def _push(
-        self, nodes: np.ndarray, values: np.ndarray
+        self, nodes: np.ndarray, values: np.ndarray, tally: ApproxStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """One exact step ``p -> Q^T p`` on a sparse support.
 
@@ -251,7 +260,7 @@ class ApproxEstimator:
             # local sort — no O(n) dense passes for an O(100) result
             uniq, inverse = np.unique(out_nodes, return_inverse=True)
             return self._trim(
-                uniq, np.bincount(inverse, weights=out_vals)
+                uniq, np.bincount(inverse, weights=out_vals), tally
             )
         dense = np.bincount(
             out_nodes, weights=out_vals, minlength=self._n
@@ -261,9 +270,9 @@ class ApproxEstimator:
         uniq = np.nonzero(dense > threshold)[0]
         kept = dense[uniq]
         if uniq.size < support:
-            self.stats.support_truncations += 1
+            tally.support_truncations += 1
         if uniq.size > self.support_cap:
-            self.stats.support_truncations += 1
+            tally.support_truncations += 1
             keep = np.argpartition(kept, -self.support_cap)[
                 -self.support_cap:
             ]
@@ -272,14 +281,14 @@ class ApproxEstimator:
         return uniq, kept
 
     def _query_side(
-        self, query: int
+        self, query: int, tally: ApproxStats
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """``p_beta = (Q^T)^beta e_q`` up to the useful query depth."""
         nodes = np.array([query], dtype=np.int64)
         values = np.array([1.0], dtype=np.float64)
         supports = [(nodes, values)]
         for _ in range(self._query_depth):
-            nodes, values = self._push(nodes, values)
+            nodes, values = self._push(nodes, values, tally)
             supports.append((nodes, values))
             if nodes.size == 0:
                 break
@@ -326,7 +335,7 @@ class ApproxEstimator:
     # analytic near levels
     # ------------------------------------------------------------------
     def _gather_level_one(
-        self, nodes: np.ndarray, values: np.ndarray
+        self, nodes: np.ndarray, values: np.ndarray, tally: ApproxStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact ``sum_w Q[u, w] m_1(w)`` contributions via ``Q^T`` rows.
 
@@ -336,7 +345,7 @@ class ApproxEstimator:
         with zero variance at ``O(support * degree)`` cost. Returns
         ``(targets, contributions)`` for the caller's shared flush.
         """
-        nodes, values = self._trim(nodes, values)
+        nodes, values = self._trim(nodes, values, tally)
         starts = self._qt_indptr[nodes]
         lengths = self._qt_indptr[nodes + 1] - starts
         idx = _multi_range(starts, lengths)
@@ -348,7 +357,11 @@ class ApproxEstimator:
     # sampled far levels
     # ------------------------------------------------------------------
     def _gather_level(
-        self, level: int, nodes: np.ndarray, values: np.ndarray
+        self,
+        level: int,
+        nodes: np.ndarray,
+        values: np.ndarray,
+        tally: ApproxStats,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``count * m_level(w) / samples`` per walk landing on ``w``.
 
@@ -357,7 +370,7 @@ class ApproxEstimator:
         below the sampling noise it rides on. Returns
         ``(sources, contributions)`` for the caller's shared flush.
         """
-        nodes, values = self._trim(nodes, values)
+        nodes, values = self._trim(nodes, values, tally)
         walks = self.walks
         row = walks.indptr[level - 1]
         base = int(walks.level_offsets[level - 1])
@@ -371,7 +384,7 @@ class ApproxEstimator:
         weights = np.repeat(
             values / walks.samples, lengths
         ) * walks.counts[idx]
-        self.stats.samples_drawn += int(hit_sources.size)
+        tally.samples_drawn += int(hit_sources.size)
         return hit_sources, weights
 
     def _flush(
@@ -408,8 +421,9 @@ class ApproxEstimator:
         truncated series. All walk levels are consumed — no early
         termination — so the result is reusable as a memoized column.
         """
+        tally = ApproxStats(columns=1)
         union, weights = self._merged_weights(
-            self._query_side(int(query))
+            self._query_side(int(query), tally)
         )
         acc = np.zeros(self._n, dtype=self.dtype)
         if union.size:
@@ -417,14 +431,14 @@ class ApproxEstimator:
             pending = []
             if weights.shape[1] > 1:
                 pending.append(
-                    self._gather_level_one(union, weights[:, 1])
+                    self._gather_level_one(union, weights[:, 1], tally)
                 )
             for alpha in range(_FIRST_SAMPLED_LEVEL, weights.shape[1]):
-                pending.append(
-                    self._gather_level(alpha, union, weights[:, alpha])
-                )
+                pending.append(self._gather_level(
+                    alpha, union, weights[:, alpha], tally
+                ))
             self._flush(acc, pending)
-        self.stats.columns += 1
+        self._record(tally)
         return acc
 
     def topk_scores(self, query: int, k: int) -> np.ndarray:
@@ -438,12 +452,13 @@ class ApproxEstimator:
         change which ``k`` nodes win. Scores outside the stable
         top-``k`` set may be partial.
         """
+        tally = ApproxStats(topk_queries=1)
         union, weights = self._merged_weights(
-            self._query_side(int(query))
+            self._query_side(int(query), tally)
         )
         acc = np.zeros(self._n, dtype=self.dtype)
-        self.stats.topk_queries += 1
         if not union.size:
+            self._record(tally)
             return acc
         level_caps = weights.max(axis=0)
         level_entries = np.diff(self.walks.level_offsets)
@@ -451,7 +466,7 @@ class ApproxEstimator:
         pending = []
         if weights.shape[1] > 1:
             pending.append(
-                self._gather_level_one(union, weights[:, 1])
+                self._gather_level_one(union, weights[:, 1], tally)
             )
         for alpha in range(_FIRST_SAMPLED_LEVEL, weights.shape[1]):
             # everything level alpha and beyond could still add,
@@ -470,12 +485,13 @@ class ApproxEstimator:
             ):
                 self._flush(acc, pending)
                 if self._topk_stable(acc, k, remaining):
-                    self.stats.early_terminations += 1
+                    tally.early_terminations += 1
                     break
-            pending.append(
-                self._gather_level(alpha, union, weights[:, alpha])
-            )
+            pending.append(self._gather_level(
+                alpha, union, weights[:, alpha], tally
+            ))
         self._flush(acc, pending)
+        self._record(tally)
         return acc
 
     def _topk_stable(

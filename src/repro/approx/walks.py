@@ -31,7 +31,7 @@ byte-identical to a fresh :meth:`WalkIndex.build`.
 
 The buckets are plain contiguous arrays, which is what lets
 :mod:`repro.index.store` persist them as optional ``.simidx`` segments
-and :mod:`repro.cluster` workers share one copy.
+and memory-map them back.
 """
 
 from __future__ import annotations

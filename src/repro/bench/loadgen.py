@@ -425,7 +425,7 @@ def run_cluster_scaling(
     over the same seeded random digraph and pushes the identical
     workload through it: ``batches`` micro-batches of ``batch_size``
     top-``k`` tasks over *distinct* query columns each (distinct so no
-    worker-side memo hit hides compute), dispatched back to back
+    memo hit hides compute), dispatched back to back
     through ``router.compute_tasks``. Pool startup and the warmup
     batch are excluded from the timed window — this isolates
     steady-state shard-parallel serving, which is what ``--workers K``
@@ -474,20 +474,19 @@ def run_cluster_scaling(
 
     per_count: dict[str, dict] = {}
     for count in worker_counts:
-        router = ShardRouter(
-            ThreadWorkerPool(workers=count), SnapshotManager(graph, config)
-        )
+        # a fresh snapshot per count: no memo hit from the last count
+        snapshot = SnapshotManager(graph, config).current
+        router = ShardRouter(ThreadWorkerPool(workers=count))
         start = time.perf_counter()
         router.start()
         startup = time.perf_counter() - start
-        snapshot = router.pin()
         try:
-            router.compute_tasks(snapshot.seq, warmup_batch)  # untimed
+            router.compute_tasks(snapshot, warmup_batch)  # untimed
             batch_seconds: list[float] = []
             wall_start = time.perf_counter()
             for batch in workload:
                 t0 = time.perf_counter()
-                results = router.compute_tasks(snapshot.seq, batch)
+                results = router.compute_tasks(snapshot, batch)
                 batch_seconds.append(time.perf_counter() - t0)
                 if any(isinstance(r, Exception) for r in results):
                     raise RuntimeError(
@@ -495,7 +494,6 @@ def run_cluster_scaling(
                     )
             wall = time.perf_counter() - wall_start
         finally:
-            router.unpin(snapshot.seq)
             router.stop()
         total = batches * batch_size
         per_count[str(count)] = {

@@ -1,29 +1,29 @@
-"""`repro.cluster` — sharded serving over one in-process index.
+"""`repro.cluster` — sharded serving on worker threads.
 
 Single-process serving (:mod:`repro.serve`) coalesces traffic into
 blocked batches. The similarity family served here is embarrassingly
 parallel across query *columns* — each single-source evaluation is an
-independent solve over one precomputed, read-only operator — so
-parallel serving needs only K engines that share one index. Threads in
-one address space do exactly that: the kernels release the GIL inside
-scipy/BLAS, and the answers never leave the process.
+independent solve over one precomputed, read-only operator — so K
+serving threads need one engine, not K. Every worker thread answers
+its shard from the engine of the snapshot its batch read: the kernels
+release the GIL inside scipy/BLAS, the engine computes fresh columns
+outside its lock (and never the same column twice), and the answers
+never leave the process.
 
 Two parts:
 
-* :class:`ThreadWorkerPool` — K worker threads, each holding one
-  engine per live snapshot *generation*, all adopting the same
-  exported :class:`~repro.index.SimilarityIndex` (shared artifact
-  arrays, private column memos); runs the two-phase hot-swap
-  (``prepare`` everywhere first, then ``commit``) and the chaos hooks.
+* :class:`ThreadWorkerPool` — K worker lanes that hold no engines,
+  only per-lane counters and the chaos hooks (``kill_worker`` /
+  ``hang_worker`` / ``corrupt_next_reply``).
 * :class:`ShardRouter` — splits each coalesced micro-batch of top-k /
-  score tasks into per-worker shards, runs them concurrently, and owns
-  the atomic snapshot *pinning* that lets mutations hot-swap
-  mid-traffic with zero failed requests, plus the per-worker circuit
-  breakers and respawn-and-retry.
+  score tasks into per-worker shards, runs them concurrently on the
+  snapshot's engine, and owns the per-worker circuit breakers and
+  respawn-and-retry.
 
 Each shard is answered by :func:`run_tasks` (defined in
-:mod:`repro.engine.results`), the same function the in-process
-``workers=0`` path runs, so both return identical answers.
+:mod:`repro.engine.results`). ``workers=0`` is a one-worker router
+whose single shard runs on the broker's executor thread, so every
+worker count takes the same path.
 
 Wired into the serving layer as ``ServingService(graph, workers=K)``
 and ``python -m repro.serve serve --workers K``; scaling is measured
@@ -38,14 +38,12 @@ End to end, one worker, eleven nodes (the paper's Figure 1 graph):
 >>> snapshots = SnapshotManager(
 ...     figure1_citation_graph(), measure="gSR*", c=0.8,
 ...     num_iterations=10)
->>> router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
+>>> router = ShardRouter(ThreadWorkerPool(workers=1))
 >>> router.start()
->>> snapshot = router.pin()
->>> ranking, score = router.compute_tasks(snapshot.seq, [
+>>> ranking, score = router.compute_tasks(snapshots.current, [
 ...     {"op": "top_k", "query": 0, "k": 3},
 ...     {"op": "score", "query": 0, "u": 1},
 ... ])
->>> router.unpin(snapshot.seq)
 >>> len(ranking), ranking.query_label, score > 0
 (3, 'a', True)
 >>> router.stop()

@@ -1,29 +1,22 @@
 """`ShardRouter` — split micro-batches into per-worker shards.
 
 The broker hands the router one coalesced micro-batch of resolved
-top-k / score tasks; it splits them into up to K contiguous shards,
-runs each shard on its worker concurrently (one dispatch thread per
-shard), and returns the finished answers in task order. This is
-exactly the shape single-source SimRank-family evaluation shards into:
-every query column is an independent solve, so the split needs no
-coordination beyond the merge.
-
-The router also owns the *pinning* discipline that makes hot-swaps
-safe under concurrency: :meth:`pin` atomically reads the current
-snapshot and counts the batch in-flight against its generation, and
-:meth:`post_swap` retires old generations, releasing each one to the
-workers only once its in-flight count drains to zero. A batch
-therefore always computes against the exact generation it pinned —
-never a mix, never a dropped request.
+top-k / score tasks and the snapshot the batch read; the router splits
+the tasks into up to K contiguous shards, runs each on its worker lane
+concurrently (one dispatch thread per shard, the calling thread for a
+lone shard), and returns the finished answers in task order. Every
+shard answers from the snapshot's own engine: each query column is an
+independent solve over one read-only operator, so the split needs no
+coordination beyond the merge, and a hot-swap needs none at all — the
+batch holds its snapshot by reference until it is answered.
 
 Worker crashes are handled below the caller's line of sight: a
 shard whose worker raised :class:`~repro.cluster.WorkerCrash` respawns
-the worker — rebuilding every live generation — and retries, up to
-``max_retries`` per shard. Repeated failures trip that worker's
-circuit breaker (a :class:`~repro.serve.guard.BreakerBoard`): while
-open, shards bound for it are answered by the pinned snapshot's own
-engine instead of queueing behind a sick worker, and a half-open probe
-after the cooldown restores it.
+the worker and retries, up to ``max_retries`` per shard. Repeated
+failures trip that worker's circuit breaker (a
+:class:`~repro.serve.guard.BreakerBoard`): while open, shards bound
+for it are answered on the dispatch thread, bypassing the sick lane,
+and a half-open probe after the cooldown restores it.
 """
 
 from __future__ import annotations
@@ -48,31 +41,19 @@ class ShardRouter:
     Parameters
     ----------
     pool:
-        The worker pool that owns the workers and generations.
-    snapshots:
-        The parent :class:`~repro.serve.SnapshotManager`; its
-        ``current`` snapshot is what :meth:`pin` pins, and its
-        hot-swap hooks should point at :meth:`pre_swap` /
-        :meth:`post_swap`.
+        The worker pool whose lanes answer the shards.
     max_retries:
         Dispatch attempts per shard beyond the first (each retry
         respawns the shard's worker first).
     obs:
         Optional :class:`~repro.obs.Observability`; when set, each
         shard's round-trip is observed into the
-        ``repro_shard_dispatch_seconds{worker=...}`` histogram and
-        :meth:`collect_worker_metrics` merges worker-side metric
-        snapshots into its registry.
+        ``repro_shard_dispatch_seconds{worker=...}`` histogram.
 
     Construction is inert:
 
     >>> from repro.cluster import ShardRouter, ThreadWorkerPool
-    >>> from repro.graph import figure1_citation_graph
-    >>> from repro.serve import SnapshotManager
-    >>> router = ShardRouter(
-    ...     ThreadWorkerPool(workers=2),
-    ...     SnapshotManager(figure1_citation_graph(), measure="gSR*"),
-    ... )
+    >>> router = ShardRouter(ThreadWorkerPool(workers=2))
     >>> router.started
     False
     """
@@ -80,7 +61,6 @@ class ShardRouter:
     def __init__(
         self,
         pool: ThreadWorkerPool,
-        snapshots,
         *,
         max_retries: int = 2,
         obs=None,
@@ -90,12 +70,9 @@ class ShardRouter:
         from repro.serve.guard import BreakerBoard
 
         self.pool = pool
-        self.snapshots = snapshots
         self.max_retries = int(max_retries)
         self.obs = obs
-        self._lock = threading.Lock()   # pins + retirement
-        self._inflight: dict[int, int] = {}
-        self._retired: set[int] = set()
+        self._lock = threading.Lock()   # counters + shard rows
         self._executor: ThreadPoolExecutor | None = None
         self.batches_routed = 0
         self.shards_dispatched = 0
@@ -106,9 +83,6 @@ class ShardRouter:
             threshold=breaker_threshold,
             cooldown_s=breaker_cooldown_s,
         )
-        # seq -> Snapshot for every generation a batch may pin: the
-        # fallback engine an open breaker serves from
-        self._fallback_snapshots: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -118,10 +92,10 @@ class ShardRouter:
         return self.pool.started
 
     def start(self) -> None:
-        """Start the pool on the manager's current snapshot."""
+        """Start the pool (idempotent)."""
         if self.started:
             return
-        self.pool.start(self.snapshots.current)
+        self.pool.start()
         self._executor = ThreadPoolExecutor(
             max_workers=self.pool.size,
             thread_name_prefix="repro-cluster-shard",
@@ -133,110 +107,6 @@ class ShardRouter:
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
-        with self._lock:
-            self._inflight.clear()
-            self._retired.clear()
-
-    # ------------------------------------------------------------------
-    # snapshot pinning (the hot-swap safety contract)
-    # ------------------------------------------------------------------
-    def pin(self):
-        """Atomically grab the current snapshot and count it in-flight.
-
-        The read of ``snapshots.current`` and the in-flight increment
-        happen under one lock — the same lock :meth:`post_swap`
-        retires generations under — so a generation can never be
-        released between a batch pinning it and registering itself.
-        """
-        with self._lock:
-            snapshot = self.snapshots.current
-            self._inflight[snapshot.seq] = (
-                self._inflight.get(snapshot.seq, 0) + 1
-            )
-            self._fallback_snapshots[snapshot.seq] = snapshot
-            return snapshot
-
-    def pin_snapshot(self, snapshot):
-        """Pin a *specific* snapshot (the canary green generation).
-
-        Same in-flight accounting as :meth:`pin`, but for a snapshot
-        that is deliberately not ``snapshots.current`` — blue-green
-        serving reads old and new generations side by side. The
-        caller must have had the generation prepared on the workers
-        first (:meth:`pre_swap`).
-        """
-        with self._lock:
-            self._inflight[snapshot.seq] = (
-                self._inflight.get(snapshot.seq, 0) + 1
-            )
-            self._fallback_snapshots[snapshot.seq] = snapshot
-            return snapshot
-
-    def unpin(self, seq: int) -> None:
-        """Drop one in-flight count; release the gen if fully drained."""
-        with self._lock:
-            remaining = self._inflight.get(seq, 0) - 1
-            if remaining > 0:
-                self._inflight[seq] = remaining
-                return
-            self._inflight.pop(seq, None)
-            release = seq in self._retired
-            if release:
-                self._retired.discard(seq)
-                self._fallback_snapshots.pop(seq, None)
-        if release:
-            self.pool.release(seq)
-
-    def pre_swap(self, snapshot) -> None:
-        """Hot-swap phase one: all workers prepare ``snapshot``.
-
-        Serves both a plain swap and a blue-green canary's green
-        generation. Raising here aborts the swap in
-        :meth:`~repro.serve.SnapshotManager.mutate` — the old
-        generation keeps serving, untouched.
-        """
-        if self.started:
-            self.pool.prepare(snapshot)
-        with self._lock:
-            self._fallback_snapshots[snapshot.seq] = snapshot
-
-    def abort_prepared(self, snapshot) -> None:
-        """Drop a prepared-but-rejected generation (canary rollback).
-
-        Respects pinning: a green batch still in flight keeps its
-        generation alive until its last unpin, exactly like a
-        retired generation after a normal swap.
-        """
-        seq = snapshot.seq
-        with self._lock:
-            if self._inflight.get(seq, 0) > 0:
-                self._retired.add(seq)  # released on last unpin
-                return
-            self._retired.discard(seq)
-            self._fallback_snapshots.pop(seq, None)
-        if self.started:
-            self.pool.release(seq)
-
-    def post_swap(self, old, new) -> None:
-        """Hot-swap phase two: commit ``new``, retire older gens."""
-        if not self.started:
-            return
-        self.pool.commit(new.seq)
-        to_release = []
-        with self._lock:
-            known = set(self._inflight) | set(self._retired)
-            known.add(old.seq)
-            for seq in known:
-                if seq >= new.seq:
-                    continue
-                if self._inflight.get(seq, 0) > 0:
-                    self._retired.add(seq)  # released on last unpin
-                else:
-                    self._retired.discard(seq)
-                    self._fallback_snapshots.pop(seq, None)
-                    to_release.append(seq)
-        for seq in to_release:
-            self.pool.release(seq)
 
     # ------------------------------------------------------------------
     # the query plane
@@ -264,16 +134,17 @@ class ShardRouter:
         return shards
 
     def compute_tasks(
-        self, seq: int, tasks: list[dict], meta: dict | None = None
+        self, snapshot, tasks: list[dict], meta: dict | None = None
     ) -> list:
-        """Answer ``tasks`` from generation ``seq``, shard-parallel.
+        """Answer ``tasks`` from ``snapshot``'s engine, shard-parallel.
 
         Splits the tasks (see :func:`~repro.engine.results.run_tasks`)
         into contiguous shards over the pool's workers, runs them
-        concurrently, and returns one result per task, in task order:
-        a :class:`~repro.engine.Ranking`, a float score, or that
-        task's own exception. Blocking — the broker calls it through
-        an executor thread.
+        concurrently — a lone shard on the calling thread — and
+        returns one result per task, in task order: a
+        :class:`~repro.engine.Ranking`, a float score, or that task's
+        own exception. Blocking — the broker calls it through an
+        executor thread.
 
         ``meta`` is an optional telemetry exchange dict: its
         ``trace_ids`` entry (the batch's request trace ids) is handed
@@ -286,6 +157,7 @@ class ShardRouter:
             raise ClusterError("router not started")
         if not tasks:
             return []
+        engine = snapshot.engine
         shards = self._split(list(tasks))
         # rotate the starting worker per batch: without the offset,
         # every batch smaller than the pool (the common case under
@@ -295,12 +167,12 @@ class ShardRouter:
         if meta is not None:
             meta.setdefault("shards", [])
         if len(shards) == 1:
-            return list(self._run_shard(offset, seq, shards[0], meta))
+            return list(self._run_shard(offset, engine, shards[0], meta))
         futures = [
             self._executor.submit(
                 self._run_shard,
                 (offset + i) % self.pool.size,
-                seq,
+                engine,
                 shard,
                 meta,
             )
@@ -323,7 +195,7 @@ class ShardRouter:
     def _run_shard(
         self,
         worker_index: int,
-        seq: int,
+        engine,
         shard: list,
         meta: dict | None = None,
     ) -> list:
@@ -331,9 +203,8 @@ class ShardRouter:
         with self._lock:  # shard threads run concurrently
             self.shards_dispatched += 1
         if not self.breakers.allow(worker_index):
-            # circuit open: don't queue behind a sick worker — the
-            # pinned snapshot's own engine answers instead
-            return self._fallback_shard(worker_index, seq, shard, meta)
+            # circuit open: don't queue behind a sick worker
+            return self._fallback_shard(worker_index, engine, shard, meta)
         trace_ids = meta.get("trace_ids") if meta else None
         attempts = self.max_retries + 1
         for attempt in range(attempts):
@@ -342,7 +213,7 @@ class ShardRouter:
                 shard_meta: dict = {}
                 results = self.pool.shard_tasks(
                     worker_index,
-                    seq,
+                    engine,
                     shard,
                     trace_ids=trace_ids,
                     meta=shard_meta,
@@ -371,13 +242,13 @@ class ShardRouter:
                     # the breaker just tripped: heal the worker now so
                     # the half-open probe after the cooldown meets a
                     # fresh worker, and serve this shard from the
-                    # fallback engine
+                    # fallback
                     try:
                         self.pool.respawn(worker_index)
                     except Exception:  # noqa: BLE001 - best effort
                         pass
                     return self._fallback_shard(
-                        worker_index, seq, shard, meta
+                        worker_index, engine, shard, meta
                     )
                 if attempt == attempts - 1:
                     raise
@@ -389,27 +260,19 @@ class ShardRouter:
     def _fallback_shard(
         self,
         worker_index: int,
-        seq: int,
+        engine,
         shard: list,
         meta: dict | None = None,
     ) -> list:
-        """Serve one shard from the pinned snapshot's own engine.
+        """Serve one shard on the dispatch thread, bypassing its lane.
 
-        The open-breaker degraded mode: correctness is identical (the
-        fallback engine is the exact pinned snapshot the batch would
-        have computed against on the worker), only that worker's
-        share of the parallelism is given up while it heals.
+        The open-breaker degraded mode: the answer comes from the same
+        engine the lane would have used, only that worker's share of
+        the parallelism is given up while it heals.
         """
-        with self._lock:
-            snapshot = self._fallback_snapshots.get(seq)
-        if snapshot is None:
-            raise WorkerCrash(
-                f"worker {worker_index} circuit open and no "
-                f"fallback engine for generation {seq}"
-            )
         self.breakers.record_fallback()
         t0 = time.perf_counter()
-        result = run_tasks(snapshot.engine, shard)
+        result = run_tasks(engine, shard)
         if meta is not None:
             row = {
                 "worker": worker_index,
@@ -422,39 +285,16 @@ class ShardRouter:
                 meta["shards"].append(row)
         return result
 
-    def collect_worker_metrics(self, registry) -> int:
-        """Merge every worker's metric snapshot into ``registry``.
-
-        Each worker's cumulative :class:`~repro.obs.MetricsRegistry`
-        snapshot is merged with replacement semantics
-        (:meth:`~repro.obs.MetricsRegistry.ingest`) under the source
-        id ``worker-<index>`` — re-ingesting never double-counts.
-        Returns how many workers were merged.
-        """
-        if not self.started:
-            return 0
-        merged = 0
-        for entry in self.pool.worker_status(strip_metrics=False):
-            snapshot = entry.get("metrics")
-            if not snapshot:
-                continue
-            registry.ingest(f"worker-{entry['index']}", snapshot)
-            merged += 1
-        return merged
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def describe(self) -> dict:
         """JSON-ready router + pool state (the ``/status`` shape)."""
-        with self._lock:
-            inflight = dict(self._inflight)
         out = {
             "pool": self.pool.describe(),
             "batches_routed": self.batches_routed,
             "shards_dispatched": self.shards_dispatched,
             "shard_retries": self.shard_retries,
-            "inflight": inflight,
             "breaker": self.breakers.describe(),
         }
         if self.started:

@@ -1,34 +1,33 @@
-"""`ThreadWorkerPool` — K engines over one in-process index.
+"""`ThreadWorkerPool` — K lanes of shard work over one shared engine.
 
 The blocked column kernels spend their time inside scipy's sparse
-matmul and BLAS — C code that releases the GIL — so a pool of
-*threads*, each with its own engine over **one** shared in-process
-index, scales the column work with no transport at all: a shard runs
-directly on the router's dispatch thread and returns finished answers.
+matmul and BLAS — C code that releases the GIL — so K threads
+answering shards from **one** engine scale the column work with no
+transport at all: each shard runs on the router's dispatch thread
+against the engine of the snapshot its batch read, and returns
+finished answers. Every single-source column is an independent solve
+over one read-only operator, so the threads share the engine's
+artifacts *and* its column memo; the engine computes outside its
+lock and never computes one column twice.
 
-* ``prepare`` exports the snapshot engine's index once and has every
-  worker adopt it (shared artifact arrays, private column memos), so a
-  generation swap is O(1) per worker.
-* The chaos hooks (``kill_worker`` / ``hang_worker`` /
-  ``corrupt_next_reply``) simulate faults at the dispatch contract: a
-  "killed" worker forgets its generations (the next shard raises
-  :class:`WorkerCrash`), a "hung" one sleeps out ``shard_timeout``
-  before crashing, a "corrupted" reply crashes immediately. They
-  drive the router's breaker, respawn-and-retry and fallback paths.
-  A thread cannot be killed, so nothing bounds a kernel call that
-  genuinely hangs.
-* Each worker owns a :class:`~repro.obs.MetricsRegistry`, so the
-  ``repro_shard_dispatch_seconds`` vs ``repro_worker_compute_seconds``
-  split and :meth:`ShardRouter.collect_worker_metrics
-  <repro.cluster.ShardRouter.collect_worker_metrics>` report
-  per-worker series.
+A *lane* is one worker's slot in the pool. It holds no engine, only
+its counters and its chaos flags:
+
+* ``kill_worker`` marks a lane crashed until ``respawn``: its next
+  shard raises :class:`WorkerCrash`.
+* ``hang_worker`` makes the lane's next shard sleep; a hang that
+  outlives ``shard_timeout`` sleeps the timeout and then crashes.
+* ``corrupt_next_reply`` makes the lane's next shard crash at once.
+
+They drive the router's breaker, respawn-and-retry and fallback
+paths. A thread cannot be killed, so nothing bounds a kernel call
+that genuinely hangs.
 """
 
 from __future__ import annotations
 
 import threading
 from time import perf_counter, sleep
-from typing import Any
 
 from repro.engine.results import run_tasks
 
@@ -36,7 +35,7 @@ __all__ = ["ClusterError", "ThreadWorkerPool", "WorkerCrash"]
 
 
 class ClusterError(RuntimeError):
-    """A cluster-level operation failed (prepare, dispatch, ...).
+    """A cluster-level operation failed (dispatch, respawn, ...).
 
     >>> from repro.cluster import ClusterError, WorkerCrash
     >>> issubclass(WorkerCrash, ClusterError)
@@ -59,62 +58,34 @@ class WorkerCrash(ClusterError):
     """
 
 
-class _ThreadWorker:
-    """One worker: a bundle of per-generation engines."""
+class _Lane:
+    """One worker's counters and chaos flags."""
 
     __slots__ = (
-        "index", "engines", "registry", "m_shards", "m_columns",
-        "m_compute", "shards_served", "respawns", "columns_served",
-        "tasks_served", "lock", "hang_until", "corrupt_next",
+        "index", "shards_served", "respawns", "columns_served",
+        "tasks_served", "lock", "crashed", "hang_until", "corrupt_next",
     )
 
     def __init__(self, index: int) -> None:
-        from repro.obs import MetricsRegistry
-
         self.index = index
-        self.engines: dict[int, Any] = {}
         self.shards_served = 0
         self.respawns = 0
         self.columns_served = 0
         self.tasks_served = 0
+        self.lock = threading.Lock()
+        self.crashed = False
         self.hang_until = 0.0
         self.corrupt_next = False
-        self.lock = threading.Lock()
-        self.registry = MetricsRegistry()
-        self.m_shards = self.registry.counter(
-            "repro_worker_shards_total",
-            "Shards this worker served.",
-        )
-        self.m_columns = self.registry.counter(
-            "repro_worker_columns_served_total",
-            "Distinct query columns this worker computed for shards.",
-        )
-        self.m_compute = self.registry.histogram(
-            "repro_worker_compute_seconds",
-            "Worker-side compute time per shard (column walk and "
-            "ranking).",
-        )
-        self.registry.counter_fn(
-            "repro_worker_tasks_total",
-            "Top-k / score tasks this worker answered.",
-            lambda: self.tasks_served,
-        )
-        self.registry.gauge_fn(
-            "repro_worker_generations",
-            "Engine generations this worker currently holds.",
-            lambda: len(self.engines),
-        )
 
 
 class ThreadWorkerPool:
-    """K thread-local engines over one shared in-process index.
+    """K worker lanes answering shards from the snapshot's engine.
 
     The worker pool behind :class:`~repro.cluster.ShardRouter`
-    (``ServingService(workers=K)``). ``prepare`` exports the snapshot
-    engine's index once and has every worker adopt it — the artifact
-    arrays are shared, only the per-engine memo state is private — so
-    a generation swap is O(1) per worker and a shard dispatch is a
-    plain method call on the router's shard thread.
+    (``ServingService(workers=K)``). Lanes hold no engines: a shard
+    dispatch is a plain :func:`~repro.engine.results.run_tasks` call
+    on the engine it is handed, so a snapshot swap costs the pool
+    nothing.
 
     Construction is inert:
 
@@ -131,107 +102,34 @@ class ThreadWorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.size = int(workers)
         self.shard_timeout = float(shard_timeout)
-        self._workers: list[_ThreadWorker] = []
-        # seq -> (exported index, graph, config): what a respawn (or a
-        # late prepare) rebuilds engines from without touching the
-        # snapshot manager again
-        self._sources: dict[int, tuple] = {}
-        self._lock = threading.Lock()
-        self.current_seq = -1
+        self._workers: list[_Lane] = []
         self.started = False
-        self.releases = 0
 
     # ------------------------------------------------------------------
-    # lifecycle + generations
+    # lifecycle
     # ------------------------------------------------------------------
-    def start(self, snapshot) -> None:
-        """Create the workers, primed with ``snapshot`` as gen 0."""
+    def start(self) -> None:
+        """Create the lanes."""
         if self.started:
             raise ClusterError("pool already started")
-        self._workers = [_ThreadWorker(i) for i in range(self.size)]
+        self._workers = [_Lane(i) for i in range(self.size)]
         self.started = True
-        self.prepare(snapshot)
-        self.commit(snapshot.seq)
 
     def stop(self) -> None:
-        """Drop every engine (idempotent)."""
-        if not self.started:
-            return
+        """Stop taking shards (idempotent)."""
         self.started = False
-        for worker in self._workers:
-            worker.engines.clear()
-        with self._lock:
-            self._sources.clear()
-        self.current_seq = -1
-
-    def prepare(self, snapshot) -> None:
-        """Phase one: every worker adopts ``snapshot``'s index.
-
-        The export is computed once; each worker's
-        ``SimilarityEngine.from_index`` adoption shares the artifact
-        arrays (transition CSR, factors, walk segments) and keeps only
-        the column memo private. Every engine is built before any is
-        installed, so a failed prepare leaves no worker — and no later
-        respawn — holding the aborted generation.
-
-        Preparing a generation the pool already holds (a promoted
-        canary) is an adoption: workers keep their engines and warm
-        memos, and only a worker that lost the generation gets one.
-        """
-        if not self.started:
-            return
-        from repro.engine.engine import SimilarityEngine
-
-        with self._lock:
-            source = self._sources.get(snapshot.seq)
-        if source is None:
-            source = (
-                snapshot.engine.export_index(),
-                snapshot.graph,
-                snapshot.engine.config,
-            )
-        missing = [
-            worker for worker in self._workers
-            if snapshot.seq not in worker.engines
-        ]
-        engines = [
-            SimilarityEngine.from_index(*source) for _ in missing
-        ]
-        with self._lock:
-            self._sources[snapshot.seq] = source
-        for worker, engine in zip(missing, engines):
-            worker.engines[snapshot.seq] = engine
-
-    def commit(self, seq: int) -> None:
-        """Phase two: mark ``seq`` current (pure bookkeeping)."""
-        if self.started:
-            self.current_seq = max(self.current_seq, seq)
-
-    def release(self, seq: int) -> None:
-        """Drop generation ``seq`` everywhere (synchronous, cheap)."""
-        with self._lock:
-            dropped = self._sources.pop(seq, None) is not None
-        for worker in self._workers:
-            worker.engines.pop(seq, None)
-        if dropped:
-            self.releases += 1
 
     def respawn(self, worker_index: int) -> None:
-        """Rebuild one worker's engines from the recorded sources."""
+        """Heal one lane: clear its crash and chaos flags."""
         if not self.started:
             raise ClusterError(
                 "pool is stopped; refusing to respawn a worker"
             )
-        from repro.engine.engine import SimilarityEngine
-
-        worker = self._workers[worker_index]
-        with self._lock:
-            sources = dict(self._sources)
-        worker.engines = {
-            seq: SimilarityEngine.from_index(index, graph, config)
-            for seq, (index, graph, config) in sorted(sources.items())
-        }
-        worker.respawns += 1
+        lane = self._workers[worker_index]
+        lane.crashed = False
+        lane.hang_until = 0.0
+        lane.corrupt_next = False
+        lane.respawns += 1
 
     # ------------------------------------------------------------------
     # chaos hooks
@@ -239,7 +137,7 @@ class ThreadWorkerPool:
     def kill_worker(self, worker_index: int) -> None:
         """Simulate one worker's crash (chaos hook).
 
-        The worker forgets every generation, and the next shard
+        The lane counts as crashed until :meth:`respawn`: every shard
         routed at it raises :class:`WorkerCrash` — recovered by the
         router's respawn-and-retry. Refuses on a pool that was never
         started.
@@ -249,7 +147,7 @@ class ThreadWorkerPool:
                 "pool has no workers to kill before start(); chaos "
                 "drills need a started pool"
             )
-        self._workers[worker_index].engines = {}
+        self._workers[worker_index].crashed = True
 
     def hang_worker(self, worker_index: int, seconds: float) -> None:
         """Simulate one worker wedging for ``seconds`` (chaos hook).
@@ -260,8 +158,8 @@ class ThreadWorkerPool:
         """
         if not self.started:
             raise ClusterError("pool not started")
-        worker = self._workers[worker_index]
-        worker.hang_until = perf_counter() + float(seconds)
+        lane = self._workers[worker_index]
+        lane.hang_until = perf_counter() + float(seconds)
 
     def corrupt_next_reply(self, worker_index: int) -> None:
         """Poison one worker's next shard reply (chaos hook).
@@ -276,62 +174,53 @@ class ThreadWorkerPool:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _engine(self, worker: _ThreadWorker, seq: int):
-        if worker.corrupt_next:
-            worker.corrupt_next = False
+    def _check(self, lane: _Lane) -> None:
+        """Raise :class:`WorkerCrash` if a chaos hook says so."""
+        if lane.crashed:
             raise WorkerCrash(
-                f"worker {worker.index} returned a corrupted reply "
+                f"worker {lane.index} crashed (chaos hook)"
+            )
+        if lane.corrupt_next:
+            lane.corrupt_next = False
+            raise WorkerCrash(
+                f"worker {lane.index} returned a corrupted reply "
                 "(chaos hook)"
             )
-        if worker.hang_until:
-            remaining = worker.hang_until - perf_counter()
+        if lane.hang_until:
+            remaining = lane.hang_until - perf_counter()
             if remaining >= self.shard_timeout:
                 sleep(self.shard_timeout)
-                worker.hang_until = 0.0
+                lane.hang_until = 0.0
                 raise WorkerCrash(
-                    f"worker {worker.index} hung past shard_timeout "
+                    f"worker {lane.index} hung past shard_timeout "
                     f"{self.shard_timeout}s (chaos hook)"
                 )
             if remaining > 0:
                 sleep(remaining)
-            worker.hang_until = 0.0
-        engine = worker.engines.get(seq)
-        if engine is None:
-            raise WorkerCrash(
-                f"worker {worker.index} holds no generation {seq} "
-                f"(live: {sorted(worker.engines)})"
-            )
-        return engine
+            lane.hang_until = 0.0
 
     def shard_tasks(
         self,
         worker_index: int,
-        seq: int,
+        engine,
         tasks: list[dict],
         *,
         trace_ids: list[str] | None = None,
         meta: dict | None = None,
     ) -> list:
-        """Answer one shard of tasks on the calling thread.
+        """Answer one shard of tasks from ``engine`` on this thread.
 
         Returns :func:`~repro.engine.results.run_tasks`'s per-task
-        results from this worker's engine for generation ``seq``;
-        ``meta``, when given, gets the batch's ``trace_ids`` echoed
-        back.
+        results; ``meta``, when given, gets the batch's ``trace_ids``
+        echoed back.
         """
-        worker = self._workers[worker_index]
-        engine = self._engine(worker, seq)
-        t0 = perf_counter()
+        lane = self._workers[worker_index]
+        self._check(lane)
         results = run_tasks(engine, tasks)
-        compute_s = perf_counter() - t0
-        columns = len({int(t["query"]) for t in tasks})
-        with worker.lock:
-            worker.shards_served += 1
-            worker.tasks_served += len(tasks)
-            worker.columns_served += columns
-            worker.m_shards.inc()
-            worker.m_columns.inc(columns)
-            worker.m_compute.observe(compute_s)
+        with lane.lock:
+            lane.shards_served += 1
+            lane.tasks_served += len(tasks)
+            lane.columns_served += len({int(t["query"]) for t in tasks})
         if meta is not None and trace_ids is not None:
             meta["trace_ids"] = list(trace_ids)
         return results
@@ -339,41 +228,30 @@ class ThreadWorkerPool:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def worker_status(self, *, strip_metrics: bool = True) -> list[dict]:
-        """Per-worker status (``metrics`` snapshots unless stripped)."""
-        out = []
-        for worker in self._workers:
-            entry = {
-                "index": worker.index,
-                "alive": self.started,
-                "shards_served": worker.shards_served,
-                "respawns": worker.respawns,
-                "current_seq": self.current_seq,
-                "generations": sorted(worker.engines),
-                "columns_served": worker.columns_served,
-                "tasks_served": worker.tasks_served,
+    def worker_status(self) -> list[dict]:
+        """Per-lane status and counters."""
+        return [
+            {
+                "index": lane.index,
+                "alive": self.started and not lane.crashed,
+                "shards_served": lane.shards_served,
+                "respawns": lane.respawns,
+                "columns_served": lane.columns_served,
+                "tasks_served": lane.tasks_served,
             }
-            if not strip_metrics:
-                entry["metrics"] = worker.registry.snapshot()
-            out.append(entry)
-        return out
+            for lane in self._workers
+        ]
 
     def describe(self) -> dict:
         """JSON-ready pool state (the ``/status`` ``pool`` section)."""
-        with self._lock:
-            generations = sorted(self._sources)
         return {
             "workers": self.size,
             "started": self.started,
-            "current_seq": self.current_seq,
-            "generations": generations,
-            "releases": self.releases,
-            "respawns": sum(w.respawns for w in self._workers),
+            "respawns": sum(lane.respawns for lane in self._workers),
         }
 
     def __repr__(self) -> str:
         return (
             f"ThreadWorkerPool(workers={self.size}, "
-            f"started={self.started}, "
-            f"current_seq={self.current_seq})"
+            f"started={self.started})"
         )

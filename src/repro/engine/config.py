@@ -39,13 +39,9 @@ WEIGHT_SCHEMES = ("auto", "geometric", "exponential")
 #: relative accuracy (well inside the paper's eps = 1e-3 regime).
 DTYPES = ("float64", "float32")
 
-#: Recognised values of :attr:`SimilarityConfig.column_policy` — the
-#: eviction order of the per-query column memo once
-#: :attr:`SimilarityConfig.max_cached_columns` is set. ``"lru"`` evicts
-#: the least recently *served* column, ``"fifo"`` the least recently
-#: *computed* one (cheaper bookkeeping, better for scan-like traffic
-#: that never repeats).
-COLUMN_POLICIES = ("lru", "fifo")
+#: Recognised values of :attr:`SimilarityConfig.column_policy`: the
+#: bounded column memo evicts the least recently *served* column.
+COLUMN_POLICIES = ("lru",)
 
 #: Recognised values of :attr:`SimilarityConfig.mode`. ``"exact"``
 #: (default) serves every column through the deterministic kernels;
@@ -97,13 +93,12 @@ class SimilarityConfig:
         Upper bound on the engine's per-query column memo. ``None``
         (default) keeps every column ever computed — fine for batch
         analytics, unbounded growth under sustained distinct-query
-        serving traffic. With a bound set, the memo evicts per
-        :attr:`column_policy` and counts evictions in
+        serving traffic. With a bound set, the memo evicts the least
+        recently served column and counts evictions in
         ``EngineStats.column_evictions``.
     column_policy:
-        Eviction order of the bounded column memo: ``"lru"`` (default)
-        or ``"fifo"``. Ignored while ``max_cached_columns`` is
-        ``None``.
+        Accepts only ``"lru"``, the memo's one eviction order. The
+        field stays because existing callers pass it.
     mode:
         ``"exact"`` (default) or ``"approx"``. Approx mode serves
         single-source columns and top-k rankings from the

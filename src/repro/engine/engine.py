@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -107,39 +108,31 @@ class ColumnMemo:
     """The per-query column memo, optionally bounded.
 
     A mapping of resolved query id to its read-only score column. With
-    ``max_entries`` set, insertion beyond the bound evicts per
-    ``policy`` — ``"lru"`` drops the least recently *served* column
-    (each :meth:`get` refreshes recency), ``"fifo"`` the least
-    recently *computed* one. The eviction count is surfaced through
+    ``max_entries`` set, insertion beyond the bound evicts the least
+    recently *served* column (each :meth:`get` refreshes recency). The
+    eviction count is surfaced through
     :attr:`EngineStats.column_evictions`.
     """
 
-    __slots__ = (
-        "_data", "max_entries", "policy", "evictions", "on_evict"
-    )
+    __slots__ = ("_data", "max_entries", "evictions", "on_evict")
 
     def __init__(
-        self,
-        max_entries: int | None = None,
-        policy: str = "lru",
-        on_evict=None,
+        self, max_entries: int | None = None, on_evict=None
     ) -> None:
         self._data: OrderedDict[int, np.ndarray] = OrderedDict()
         self.max_entries = max_entries
-        self.policy = policy
         self.evictions = 0
         self.on_evict = on_evict
 
     def get(self, query: int) -> np.ndarray | None:
         column = self._data.get(query)
-        if column is not None and self.policy == "lru":
+        if column is not None:
             self._data.move_to_end(query)
         return column
 
     def put(self, query: int, column: np.ndarray) -> None:
         self._data[query] = column
-        if self.policy == "lru":
-            self._data.move_to_end(query)
+        self._data.move_to_end(query)
         if self.max_entries is not None:
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
@@ -165,6 +158,8 @@ class _Caches:
     estimator: ApproxEstimator | None = None
     matrix: ScoreMatrix | None = None
     columns: ColumnMemo = field(default_factory=ColumnMemo)
+    #: query id -> the Future of the compute that claimed it
+    inflight: dict[int, Future] = field(default_factory=dict)
 
 
 class SimilarityEngine:
@@ -415,7 +410,7 @@ class SimilarityEngine:
         """The reverse-walk sample store of the approx tier.
 
         Adopted from the attached index when it carries walk segments
-        (the memory-mapped cluster path — counted in
+        (a restart from a ``.simidx`` or a delta swap — counted in
         ``EngineStats.index_adoptions``), else drawn once from the
         engine's ``Q`` with the geometry
         :func:`repro.approx.approx_params` resolves from the
@@ -560,7 +555,6 @@ class SimilarityEngine:
         return _Caches(
             columns=ColumnMemo(
                 self._config.max_cached_columns,
-                self._config.column_policy,
                 on_evict=self.stats.count_column_eviction,
             )
         )
@@ -614,55 +608,80 @@ class SimilarityEngine:
         memoized ones come from the column memo, and the returned
         dict holds every requested column even when the memo's bound
         forces same-batch evictions. Duplicate queries collapse.
-        Thread-safe — this is what the request broker in
-        :mod:`repro.serve` dispatches each coalesced micro-batch
-        through.
+
+        Thread-safe, and built for worker threads sharing one engine:
+        the memo lookups and bookkeeping run under the engine lock,
+        the kernel call outside it. A column another thread is
+        computing right now is awaited, never computed twice (it
+        counts as a hit, and its error is re-raised here), and fresh
+        columns land in the caches that were current when they were
+        claimed, so an :meth:`invalidate` mid-compute never admits a
+        stale column into the new memo.
         """
         self._check_stale()
         ids = [self._resolve(q) for q in queries]
         out: dict[int, np.ndarray] = {}
+        awaited: list[tuple[int, Future]] = []
+        fresh: list[int] = []
         with self._lock:
-            fresh: list[int] = []
+            caches = self._caches
             for q in dict.fromkeys(ids):  # ordered de-dup
-                cached = self._caches.columns.get(q)
+                cached = caches.columns.get(q)
                 if cached is not None:
                     self.stats.hits += 1
                     out[q] = cached
+                elif q in caches.inflight:
+                    self.stats.hits += 1
+                    awaited.append((q, caches.inflight[q]))
                 else:
                     fresh.append(q)
             if fresh:
                 self.stats.misses += len(fresh)
-                if self._config.mode == "approx":
-                    for q in fresh:
-                        out[q] = self._approx_column(q)
-                elif (
-                    self._spec.supports_single_source
-                    and self._caches.matrix is None
-                ):
-                    out.update(self._compute_columns(tuple(fresh)))
+                from_matrix = self._config.mode != "approx" and (
+                    not self._spec.supports_single_source
+                    or caches.matrix is not None
+                )
+                claim = Future()
+                for q in fresh:
+                    caches.inflight[q] = claim
+        if fresh:
+            try:
+                if from_matrix:
+                    computed = self._matrix_columns(caches, fresh)
+                elif self._config.mode == "approx":
+                    computed = {
+                        q: self._approx_estimator.column(q) for q in fresh
+                    }
                 else:
+                    computed = self._compute_columns(tuple(fresh))
+                with self._lock:
+                    for q, scores in computed.items():
+                        scores.flags.writeable = False
+                        caches.columns.put(q, scores)
+                        caches.inflight.pop(q, None)
+                    if not from_matrix:
+                        self.stats.column_computes += len(computed)
+            except BaseException as exc:
+                # waiters must never block on an unresolved claim
+                with self._lock:
                     for q in fresh:
-                        out[q] = self._column_from_matrix(q)
+                        caches.inflight.pop(q, None)
+                claim.set_exception(exc)
+                raise
+            claim.set_result(computed)
+            out.update(computed)
+        for q, claim in awaited:
+            out[q] = claim.result()[q]
         return out
-
-    def _approx_column(self, q: int) -> np.ndarray:
-        """One fresh Monte-Carlo column (memoized like exact ones)."""
-        scores = self._approx_estimator.column(q)
-        scores.flags.writeable = False
-        self._caches.columns.put(q, scores)
-        self.stats.column_computes += 1
-        return scores
 
     def _compute_columns(
         self, queries: Sequence[int]
     ) -> dict[int, np.ndarray]:
         """Series-walk the given fresh query columns in one blocked call.
 
-        ``queries`` must be distinct resolved ids that are not yet
-        cached; each lands in the column memo as a read-only array and
-        counts as one ``column_computes``. The computed columns are
-        also returned directly, so callers stay correct when a bounded
-        memo evicts part of a batch wider than its limit.
+        Pure compute, run outside the engine lock: ``queries`` are
+        distinct resolved ids, and :meth:`columns` memoizes and counts
+        what comes back.
         """
         block = _series_block(
             self._graph,
@@ -679,29 +698,25 @@ class SimilarityEngine:
                 else None
             ),
         )
-        computed: dict[int, np.ndarray] = {}
-        for j, q in enumerate(queries):
-            scores = np.ascontiguousarray(block[:, j])
-            scores.flags.writeable = False
-            self._caches.columns.put(q, scores)
-            self.stats.column_computes += 1
-            computed[q] = scores
-        return computed
+        return {
+            q: np.ascontiguousarray(block[:, j])
+            for j, q in enumerate(queries)
+        }
 
-    def _column_from_matrix(self, q: int) -> np.ndarray:
-        # bypass matrix()'s hit/miss accounting: this is one logical
-        # query, already counted as a column miss by the caller. A
-        # view, not a copy — the matrix cache already owns the data
-        # and is frozen read-only. Kept in the matrix's own dtype:
-        # measures that do not declare dtype support serve float64
-        # even under a float32 config, and columns must agree with
-        # matrix().
-        if self._caches.matrix is None:
-            self._build_matrix()
-        scores = np.asarray(self._caches.matrix)[:, q]
-        scores.flags.writeable = False
-        self._caches.columns.put(q, scores)
-        return scores
+    def _matrix_columns(
+        self, caches: _Caches, queries: list[int]
+    ) -> dict[int, np.ndarray]:
+        # bypass matrix()'s hit/miss accounting: each query is already
+        # counted as a column miss. Views, not copies — the matrix
+        # cache owns the data and is frozen read-only. Kept in the
+        # matrix's own dtype: measures that do not declare dtype
+        # support serve float64 even under a float32 config, and
+        # columns must agree with matrix().
+        with self._lock:  # one build, however many callers race
+            if caches.matrix is None:
+                caches.matrix = self._build_matrix()
+        values = np.asarray(caches.matrix)
+        return {q: values[:, q] for q in queries}
 
     def score(self, u, v) -> float:
         """The similarity of one node pair (ids or labels).
@@ -747,13 +762,13 @@ class SimilarityEngine:
         q = self._resolve(query)
         if self._config.mode == "approx":
             with self._lock:
-                cached = self._caches.columns.get(q)
-                if cached is not None:
+                scores = self._caches.columns.get(q)
+                if scores is not None:
                     self.stats.hits += 1
-                    scores = cached
                 else:
                     self.stats.misses += 1
-                    scores = self._approx_estimator.topk_scores(q, k)
+            if scores is None:
+                scores = self._approx_estimator.topk_scores(q, k)
         else:
             scores = self.single_source(q)
         return Ranking.from_scores(
@@ -810,12 +825,12 @@ class SimilarityEngine:
         with self._lock:
             if self._caches.matrix is None:
                 self.stats.misses += 1
-                self._build_matrix()
+                self._caches.matrix = self._build_matrix()
             else:
                 self.stats.hits += 1
             return self._caches.matrix
 
-    def _build_matrix(self) -> None:
+    def _build_matrix(self) -> ScoreMatrix:
         kwargs = {}
         if "transition" in self._spec.uses:
             q = self.transition
@@ -840,8 +855,8 @@ class SimilarityEngine:
         # shares it, and a caller writing through a view would
         # corrupt every subsequent answer
         matrix.values.flags.writeable = False
-        self._caches.matrix = matrix
         self.stats.matrix_builds += 1
+        return matrix
 
     # ------------------------------------------------------------------
     # internal

@@ -200,8 +200,9 @@ def graph_fingerprint(graph: DiGraph) -> dict:
     heads, tails = graph.edge_arrays()
     digest = hashlib.sha256()
     digest.update(np.int64(graph.num_nodes).tobytes())
-    digest.update(np.ascontiguousarray(heads, dtype="<i8").tobytes())
-    digest.update(np.ascontiguousarray(tails, dtype="<i8").tobytes())
+    # sha256 reads the contiguous arrays' buffers directly: no copy
+    digest.update(np.ascontiguousarray(heads, dtype="<i8"))
+    digest.update(np.ascontiguousarray(tails, dtype="<i8"))
     return {
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,

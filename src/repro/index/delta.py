@@ -266,10 +266,8 @@ def _fingerprint_from_qt(qt: sp.csr_array) -> str:
     heads = np.repeat(np.arange(n, dtype=np.int64), counts)
     digest = hashlib.sha256()
     digest.update(np.int64(n).tobytes())
-    digest.update(np.ascontiguousarray(heads, dtype="<i8").tobytes())
-    digest.update(
-        np.ascontiguousarray(qt.indices, dtype="<i8").tobytes()
-    )
+    digest.update(np.ascontiguousarray(heads, dtype="<i8"))
+    digest.update(np.ascontiguousarray(qt.indices, dtype="<i8"))
     return digest.hexdigest()
 
 

@@ -5,16 +5,15 @@ The observability layer of the serving stack (PR 8). Three pieces:
 * :mod:`repro.obs.metrics` — a zero-dependency
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
   histograms with a Prometheus text exposition (served at
-  ``/metrics``), plus idempotent snapshot merging for the per-worker
-  registries.
+  ``/metrics``).
 * :mod:`repro.obs.trace` — per-request :class:`Trace` span timelines
-  (``coalesce -> dispatch -> compute -> render``) and the bounded,
-  rotated JSON-lines :class:`SlowQueryLog`.
+  (``coalesce -> dispatch -> shard -> compute -> render``) and the
+  bounded, rotated JSON-lines :class:`SlowQueryLog`.
 * :class:`Observability` — the facade a
   :class:`~repro.serve.ServingService` owns: it creates the hot-path
-  instruments the broker/router/snapshot manager write into, registers
-  pull-time callback series over the existing stats objects, and
-  merges the worker-side metric snapshots.
+  instruments the broker/router/snapshot manager write into and
+  registers pull-time callback series over the existing stats
+  objects.
 
 Instrumentation is opt-out (``ServingService(telemetry=False)``): the
 :class:`NullObservability` variant exposes the same attribute surface
@@ -260,7 +259,7 @@ class Observability:
     def observe_swap(self, row: dict) -> None:
         """Feed one recorded swap's stage timings into the histogram."""
         kind = row.get("kind", "full")
-        for stage in ("build_s", "prepare_s", "commit_s", "total_s"):
+        for stage in ("build_s", "commit_s", "total_s"):
             self.swap_stage.labels(
                 kind=kind, stage=stage[:-2]
             ).observe(row.get(stage, 0.0))
@@ -272,8 +271,8 @@ class Observability:
         """Register callback series reading ``service``'s layers.
 
         Call once, after the service has built its broker, cache,
-        snapshot manager, and (optionally) cluster router. Every
-        series here is computed at scrape time — zero hot-path cost.
+        snapshot manager, and cluster router. Every series here is
+        computed at scrape time — zero hot-path cost.
         """
         registry = self.registry
         broker = service.broker
@@ -380,9 +379,10 @@ class Observability:
             "Edges in the serving snapshot's graph.",
             lambda: snapshots.current.graph.num_edges,
         )
-        # engine series read the *current* snapshot's stats: they are
-        # gauges, not counters, because a hot-swap replaces the engine
-        # and resets them (documented in docs/observability.md)
+        # engine series read the *current* snapshot's stats — the one
+        # engine every worker answers from. They are gauges, not
+        # counters, because a hot-swap replaces the engine and resets
+        # them (documented in docs/observability.md)
         for field, help_text in (
             ("hits", "Column-memo hits (current engine)."),
             ("misses", "Column-memo misses (current engine)."),
@@ -421,63 +421,70 @@ class Observability:
             "(empty unless mode=approx).",
             lambda: self._approx_early_stops(snapshots),
         )
-        if service.cluster is not None:
-            router = service.cluster
-            for field, help_text in (
-                ("batches_routed", "Micro-batches routed to shards."),
-                ("shards_dispatched", "Shards dispatched to workers."),
-                ("shard_retries",
-                 "Shards retried after a worker crash/hang."),
-            ):
-                registry.counter_fn(
-                    f"repro_cluster_{field}_total",
-                    help_text,
-                    (lambda f=field: getattr(router, f)),
-                )
-            registry.gauge_fn(
-                "repro_cluster_workers",
-                "Configured worker threads.",
-                lambda: router.pool.size,
-            )
+        router = service.cluster
+        for field, help_text in (
+            ("batches_routed", "Micro-batches routed to shards."),
+            ("shards_dispatched", "Shards dispatched to workers."),
+            ("shard_retries",
+             "Shards retried after a worker crash/hang."),
+        ):
             registry.counter_fn(
-                "repro_cluster_respawns_total",
-                "Workers respawned after a crash.",
-                lambda: sum(
-                    w.respawns for w in router.pool._workers
-                ),
+                f"repro_cluster_{field}_total",
+                help_text,
+                (lambda f=field: getattr(router, f)),
             )
+        registry.gauge_fn(
+            "repro_cluster_workers",
+            "Configured worker threads.",
+            lambda: router.pool.size,
+        )
+        registry.counter_fn(
+            "repro_cluster_respawns_total",
+            "Workers respawned after a crash.",
+            lambda: router.pool.describe()["respawns"],
+        )
+        for name, key, help_text in (
+            ("shards", "shards_served", "Shards each worker served."),
+            ("columns_served", "columns_served",
+             "Distinct query columns in the shards each worker "
+             "served."),
+            ("tasks", "tasks_served",
+             "Top-k / score tasks each worker answered."),
+        ):
             registry.counter_fn(
-                "repro_cluster_releases_total",
-                "Generations released after draining.",
-                lambda: router.pool.releases,
+                f"repro_worker_{name}_total",
+                help_text,
+                (lambda k=key: [
+                    ({"worker": str(w["index"])}, w[k])
+                    for w in router.pool.worker_status()
+                ]),
             )
-            breakers = router.breakers
-            for field, help_text in (
-                ("trips",
-                 "Circuit-breaker transitions to open (worker "
-                 "quarantined, shards answered by the fallback "
-                 "engine)."),
-                ("restores",
-                 "Circuit-breaker half-open probes that closed the "
-                 "breaker again."),
-                ("fallbacks",
-                 "Shards answered by the in-process fallback engine "
-                 "while a breaker was open."),
-            ):
-                registry.counter_fn(
-                    f"repro_breaker_{field}_total",
-                    help_text,
-                    (lambda f=field: getattr(breakers, f)),
-                )
-            registry.gauge_fn(
-                "repro_breaker_state",
-                "Per-worker circuit-breaker state "
-                "(0=closed, 1=half_open, 2=open).",
-                lambda: [
-                    ({"worker": str(i)}, value)
-                    for i, value in breakers.values()
-                ],
+        breakers = router.breakers
+        for field, help_text in (
+            ("trips",
+             "Circuit-breaker transitions to open (worker "
+             "quarantined, shards answered on the dispatch thread)."),
+            ("restores",
+             "Circuit-breaker half-open probes that closed the "
+             "breaker again."),
+            ("fallbacks",
+             "Shards answered on the dispatch thread while their "
+             "worker's breaker was open."),
+        ):
+            registry.counter_fn(
+                f"repro_breaker_{field}_total",
+                help_text,
+                (lambda f=field: getattr(breakers, f)),
             )
+        registry.gauge_fn(
+            "repro_breaker_state",
+            "Per-worker circuit-breaker state "
+            "(0=closed, 1=half_open, 2=open).",
+            lambda: [
+                ({"worker": str(i)}, value)
+                for i, value in breakers.values()
+            ],
+        )
         started = time.monotonic()
         registry.gauge_fn(
             "repro_uptime_seconds",

@@ -23,14 +23,6 @@ Two design points matter at serving rates:
   :meth:`~MetricsRegistry.gauge_fn`) reads those on scrape instead of
   double-counting on the hot path.
 
-Cross-process aggregation uses **snapshot ingestion**: a worker ships
-its registry's :meth:`~MetricsRegistry.snapshot` back on ping, the
-parent :meth:`~MetricsRegistry.ingest`\\ s it under the worker's
-source id, and :meth:`~MetricsRegistry.render` emits those series with
-a ``worker`` label. Ingestion *replaces* the source's previous
-contribution, so re-shipping the same cumulative snapshot is
-idempotent — the merge can never double-count a retried ping.
-
 >>> from repro.obs import MetricsRegistry
 >>> registry = MetricsRegistry()
 >>> requests = registry.counter(
@@ -48,7 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -349,7 +341,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, object] = {}
-        self._external: dict[str, list] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -400,56 +391,6 @@ class MetricsRegistry:
         """A gauge-typed series read from ``fn`` at scrape time."""
         self._register(_CallbackMetric(name, help_text, "gauge", fn))
 
-    # ------------------------------------------------------------------
-    # cross-process merge
-    # ------------------------------------------------------------------
-    def snapshot(self) -> list[dict]:
-        """A picklable dump of every metric (for shipping to a parent).
-
-        Values are cumulative, so a snapshot is safe to re-ship: the
-        receiving :meth:`ingest` replaces, never adds.
-        """
-        out = []
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            out.append(
-                {
-                    "name": metric.name,
-                    "kind": metric.kind,
-                    "help": metric.help,
-                    "samples": [
-                        [suffix, labels, value]
-                        for suffix, labels, value in metric.samples()
-                    ],
-                }
-            )
-        return out
-
-    def ingest(self, source: str, snapshot: Iterable[Mapping]) -> None:
-        """Merge another process's snapshot under ``source``.
-
-        Replacement semantics: the source's previous contribution is
-        dropped first, so ingesting the same cumulative snapshot twice
-        leaves every rendered value unchanged (idempotent merge — the
-        property the cross-process tests pin down).
-        """
-        rows = []
-        for metric in snapshot:
-            rows.append(
-                {
-                    "name": _check_name(str(metric["name"])),
-                    "kind": str(metric.get("kind", "untyped")),
-                    "help": str(metric.get("help", "")),
-                    "samples": [
-                        (str(suffix), dict(labels), float(value))
-                        for suffix, labels, value in metric["samples"]
-                    ],
-                }
-            )
-        with self._lock:
-            self._external[str(source)] = rows
-
     def sample_value(
         self, name: str, labels: Mapping[str, str] | None = None
     ) -> float | None:
@@ -467,32 +408,10 @@ class MetricsRegistry:
     # exposition
     # ------------------------------------------------------------------
     def _collect(self):
-        """``(name, kind, help, samples)`` per metric, externals last."""
+        """``(name, kind, help, samples)`` per registered metric."""
         with self._lock:
             metrics = list(self._metrics.values())
-            external = {
-                source: list(rows)
-                for source, rows in self._external.items()
-            }
-        out = [
-            (m.name, m.kind, m.help, m.samples()) for m in metrics
-        ]
-        merged: dict[str, tuple] = {}
-        for source in sorted(external):
-            for metric in external[source]:
-                name = metric["name"]
-                entry = merged.setdefault(
-                    name, (metric["kind"], metric["help"], [])
-                )
-                entry[2].extend(
-                    (suffix, dict(labels, worker=source), value)
-                    for suffix, labels, value in metric["samples"]
-                )
-        out.extend(
-            (name, kind, help_text, rows)
-            for name, (kind, help_text, rows) in merged.items()
-        )
-        return out
+        return [(m.name, m.kind, m.help, m.samples()) for m in metrics]
 
     def render(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""

@@ -14,7 +14,7 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
   stale answers age out instead of being served.
 * :class:`SnapshotManager` / :class:`Snapshot` — graph mutations
   build a fresh engine off to the side and atomically swap it in;
-  in-flight batches finish on the snapshot they pinned (zero failed
+  in-flight batches finish on the snapshot they read (zero failed
   requests across a swap). With ``index_path`` set, replacement
   engines warm from a persisted :class:`~repro.index.SimilarityIndex`
   when its fingerprint matches, and freshly built precomputation is
@@ -23,7 +23,7 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
   usable async-natively or from sync threads via a private
   background event loop. ``ServingService(graph, workers=K)`` scales
   out: batches are sharded across a :mod:`repro.cluster` pool of
-  worker threads sharing one in-process index.
+  worker threads sharing the snapshot's engine.
 * :func:`serve_http` / :class:`SimilarityHTTPServer` — a stdlib
   HTTP/JSON front end; ``python -m repro.serve`` is the CLI
   (``serve`` / ``warmup`` / ``status`` / ``smoke`` / ``chaos``).
@@ -32,7 +32,7 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
   (:class:`Overloaded` → HTTP 429), per-request deadlines
   (:class:`DeadlineExceeded` → HTTP 504), a per-worker
   :class:`CircuitBreaker` board quarantining crash-looping workers
-  behind an in-process fallback, and blue-green :class:`Canary`
+  behind a dispatch-thread fallback, and blue-green :class:`Canary`
   snapshot swaps with automatic promote/rollback. The scripted
   chaos drill (``python -m repro.serve chaos``,
   :mod:`repro.serve.chaos`) proves the stack sheds instead of

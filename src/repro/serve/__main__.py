@@ -77,9 +77,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="engine column-memo bound (default 4096; 0 = unbounded)",
     )
     parser.add_argument(
-        "--column-policy", choices=("lru", "fifo"), default="lru"
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=32,
         help="broker micro-batch cap (default 32)",
     )
@@ -94,16 +91,15 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker threads, each with its own engine over one "
-        "shared in-process index (repro.cluster); 0 = answer on the "
-        "broker's executor thread (default)",
+        help="worker threads answering shards of each batch from "
+        "the snapshot's one engine (repro.cluster); 0 (default) acts "
+        "as 1: the single shard runs on the broker's executor thread",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=120.0,
         help="seconds a chaos-simulated hung worker sleeps before its "
         "shard counts as crashed and is retried; a thread cannot be "
-        "killed, so this bounds nothing else (cluster mode only; "
-        "default 120)",
+        "killed, so this bounds nothing else (default 120)",
     )
     parser.add_argument(
         "--delta-mode", choices=("auto", "off"), default="auto",
@@ -138,8 +134,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--breaker-threshold", type=int, default=5,
         help="circuit breaker: consecutive crashes/timeouts before a "
-        "worker's breaker opens and its shards are answered by the "
-        "in-process fallback engine (cluster mode; default 5)",
+        "worker's breaker opens and its shards are answered on the "
+        "dispatch thread, bypassing the worker (default 5)",
     )
     parser.add_argument(
         "--breaker-cooldown-s", type=float, default=5.0,
@@ -174,7 +170,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 def _build_service(args) -> ServingService:
     config = config_from_args(args).replace(
         max_cached_columns=args.max_cached_columns or None,
-        column_policy=args.column_policy,
     )
     return ServingService(
         build_graph(args),
@@ -317,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument(
         "--mutate-mid-run", action="store_true",
         help="POST /mutate while the client load is in flight and "
-        "assert the hot-swap completed with zero failed requests "
-        "(with --workers: that every worker converged to the new "
-        "snapshot)",
+        "assert the hot-swap completed with zero failed requests",
     )
     smoke.add_argument(
         "--mutate-stream", type=int, default=0, metavar="N",
@@ -522,7 +515,6 @@ def render_status(document: dict) -> str:
         lines.append(
             f"swap latency  {kind}: count={entry['count']} "
             f"(p50/p90/max) build={_stage('build_s')} "
-            f"prepare={_stage('prepare_s')} "
             f"commit={_stage('commit_s')} "
             f"total={_stage('total_s')}"
         )
@@ -536,13 +528,10 @@ def render_status(document: dict) -> str:
         lines.append(
             f"cluster       workers={pool.get('workers', 0)} "
             f"(alive={alive}) "
-            f"seq={pool.get('current_seq', 0)} "
             f"shards={cluster.get('shards_dispatched', 0)} "
             f"retries={cluster.get('shard_retries', 0)} "
             f"respawns={pool.get('respawns', 0)}"
         )
-    else:
-        lines.append("cluster       in-process (workers=0)")
     if index.get("path"):
         lines.append(
             f"index         {index['path']} "
@@ -818,27 +807,14 @@ def _cmd_smoke(args) -> int:
             approx.get("walk_length", 0) > 0
             and approx.get("index_bytes", 0) > 0
         )
-    cluster = status.get("cluster")
-    if cluster is not None:
-        workers_alive = [
-            w for w in cluster.get("worker_status", ())
-            if w.get("alive")
-        ]
-        checks["all_workers_alive"] = (
-            len(workers_alive) == cluster["pool"]["workers"]
-        )
-        checks["shards_dispatched"] = (
-            cluster["shards_dispatched"] > 0
-        )
-        if args.mutate_mid_run or args.mutate_stream:
-            target = cluster["pool"]["current_seq"]
-            checks["workers_converged_to_new_snapshot"] = (
-                target >= 1
-                and all(
-                    w.get("current_seq") == target
-                    for w in workers_alive
-                )
-            )
+    cluster = status["cluster"]
+    workers_alive = [
+        w for w in cluster.get("worker_status", ()) if w.get("alive")
+    ]
+    checks["all_workers_alive"] = (
+        len(workers_alive) == cluster["pool"]["workers"]
+    )
+    checks["shards_dispatched"] = cluster["shards_dispatched"] > 0
     report = {
         "url": url,
         "workers": args.workers,

@@ -7,16 +7,18 @@ more than one. The broker closes that gap: requests land on an
 ``asyncio.Queue``; a single dispatcher task takes the first request,
 then keeps collecting until either ``max_batch`` requests are in hand
 or ``max_wait_ms`` has elapsed since the first one, and dispatches the
-whole micro-batch through one :func:`~repro.engine.results.run_tasks`
-call (one blocked column walk, then ranking). While a batch computes
+whole micro-batch through one
+:meth:`~repro.cluster.ShardRouter.compute_tasks` call (blocked column
+walks on the worker threads, then ranking). While a batch computes
 in the executor, new arrivals pile up on
 the queue, so sustained load coalesces even harder — classic
 backpressure batching, as in index-serving systems built on
 shared-precomputation similarity search (SLING-style serving).
 
-Each batch pins one :class:`~repro.serve.snapshot.Snapshot` for its
-whole lifetime, so a concurrent hot-swap never mixes generations
-within a batch. Answers are published to the versioned
+Each batch reads one :class:`~repro.serve.snapshot.Snapshot` and holds
+it by reference until it is answered, so a concurrent hot-swap never
+mixes generations within a batch nor frees the engine it computes on.
+Answers are published to the versioned
 :class:`~repro.serve.cache.ResultCache` (when one is attached) before
 the caller's future resolves.
 """
@@ -29,7 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.engine.results import Ranking, run_tasks
+from repro.engine.results import Ranking
 from repro.serve.cache import ResultCache
 from repro.serve.guard import DeadlineExceeded, Overloaded
 from repro.serve.snapshot import Snapshot, SnapshotManager
@@ -145,19 +147,17 @@ class QueryBroker:
     obs:
         Optional :class:`~repro.obs.Observability`. When set (and
         enabled), every request is traced
-        (``coalesce -> dispatch -> compute -> render`` spans) and the
-        hot-path histograms (coalesce wait, batch compute, render,
-        end-to-end duration) are observed. ``None`` (or a
-        :class:`~repro.obs.NullObservability`) keeps the hot path
-        free of telemetry work.
+        (``coalesce -> dispatch -> shard -> compute -> render``
+        spans) and the hot-path histograms (coalesce wait, batch
+        compute, render, end-to-end duration) are observed. ``None``
+        (or a :class:`~repro.obs.NullObservability`) keeps the hot
+        path free of telemetry work.
     router:
-        Optional :class:`~repro.cluster.ShardRouter`. When set, each
-        batch's tasks are answered by the router's worker threads
-        (sharded across them) instead of the snapshot's own engine;
-        the snapshot pin goes through the router so a concurrent
-        hot-swap can never release a generation a dispatched batch
-        still needs. Either way the answers come from
-        :func:`~repro.engine.results.run_tasks`.
+        The :class:`~repro.cluster.ShardRouter` whose worker threads
+        answer each batch's tasks, sharded across them, from the
+        engine of the snapshot the batch read. ``None`` (default)
+        builds a one-worker router, whose single shard runs on the
+        broker's executor thread.
 
     Examples
     --------
@@ -216,6 +216,10 @@ class QueryBroker:
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1e3
         self._cache = cache
+        if router is None:
+            from repro.cluster import ShardRouter, ThreadWorkerPool
+
+            router = ShardRouter(ThreadWorkerPool(workers=1), obs=obs)
         self._router = router
         self._config_key = snapshots.config
         self.max_queue_depth = int(max_queue_depth)
@@ -248,6 +252,7 @@ class QueryBroker:
         """Start the dispatcher task on the running event loop."""
         if self.running:
             raise RuntimeError("broker already running")
+        self._router.start()
         self._queue = asyncio.Queue()
         self._stopping = False
         self._task = asyncio.get_running_loop().create_task(
@@ -473,29 +478,10 @@ class QueryBroker:
         side = None
         if canary is not None and canary.outcome is None:
             side = canary.choose()
-        if self._router is not None:
-            # atomic pin: the router counts this batch in-flight
-            # against the generation it reads, under the same lock a
-            # hot-swap retires generations with
-            if side == "green":
-                snapshot = self._router.pin_snapshot(canary.green)
-            else:
-                snapshot = self._router.pin()
-            try:
-                await self._dispatch_pinned(
-                    batch, snapshot, canary_side=side
-                )
-            finally:
-                self._router.unpin(snapshot.seq)
-        else:
-            snapshot = (
-                canary.green
-                if side == "green"
-                else self._snapshots.current
-            )
-            await self._dispatch_pinned(
-                batch, snapshot, canary_side=side
-            )
+        snapshot = (
+            canary.green if side == "green" else self._snapshots.current
+        )
+        await self._dispatch_on(batch, snapshot, canary_side=side)
         if side is not None:
             await self._maybe_finalize_canary()
 
@@ -513,15 +499,15 @@ class QueryBroker:
             else canary.on_rollback
         )
         if callback is not None:
-            # promote/rollback swap pointers and talk to the worker
-            # pool — keep that off the event loop
+            # promote swaps the pointer and persists the index —
+            # keep that off the event loop
             await asyncio.get_running_loop().run_in_executor(
                 None, callback
             )
         if self.canary is canary:
             self.canary = None
 
-    async def _dispatch_pinned(
+    async def _dispatch_on(
         self,
         batch: list[_Request],
         snapshot: Snapshot,
@@ -593,7 +579,7 @@ class QueryBroker:
             return
 
         shard_meta = None
-        if self._router is not None and obs.enabled:
+        if obs.enabled:
             shard_meta = {
                 "trace_ids": [
                     r.trace.trace_id for r in work if r.trace is not None
@@ -615,12 +601,9 @@ class QueryBroker:
                 # exactly where a genuinely broken new generation
                 # would fail its batches
                 canary.inject_green_fault()
-            if self._router is not None:
-                results = self._router.compute_tasks(
-                    snapshot.seq, tasks, meta=shard_meta
-                )
-            else:
-                results = run_tasks(engine, tasks)
+            results = self._router.compute_tasks(
+                snapshot, tasks, meta=shard_meta
+            )
             return results, t0, perf_counter() - t0
 
         t_dispatch = perf_counter()
@@ -643,10 +626,7 @@ class QueryBroker:
         )
         if obs.enabled:
             obs.batch_compute.observe(compute_s)
-            mode = "cluster" if self._router is not None else "local"
-            shards = (
-                shard_meta.get("shards", ()) if shard_meta else ()
-            )
+            shards = shard_meta.get("shards", ())
             for request in work:
                 trace = request.trace
                 if trace is None:
@@ -656,7 +636,6 @@ class QueryBroker:
                     dispatch_s,
                     start_s=t_dispatch,
                     batch=len(tasks),
-                    mode=mode,
                 )
                 for shard in shards:
                     trace.add_span(

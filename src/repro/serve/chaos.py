@@ -1,15 +1,14 @@
 """Scripted chaos drill for the guard layer (``serve chaos``).
 
-One function, :func:`run_drill`, stands up a real cluster-mode
+One function, :func:`run_drill`, stands up a real
 :class:`~repro.serve.ServingService` behind a real HTTP server and
 attacks it with the pool's chaos hooks while client load is in
 flight. The hooks simulate each fault at the shard-dispatch contract
 (a worker thread cannot really be killed):
 
-* **kill** — ``kill_worker`` makes a worker forget its engines; its
-  next shard crashes, the breaker trips, the in-process fallback
-  answers the shard, the respawned worker is restored by a half-open
-  probe.
+* **kill** — ``kill_worker`` marks a worker crashed; its next shard
+  crashes, the breaker trips, the shard is answered on the dispatch
+  thread, and the respawned worker is restored by a half-open probe.
 * **hang** — ``hang_worker`` makes a worker's next shard sleep past
   ``shard_timeout`` and then crash; same recovery path.
 * **corrupt** — ``corrupt_next_reply`` makes a worker's next shard
@@ -189,7 +188,7 @@ def run_drill(
         wave("kill", inject=lambda: pool.kill_worker(0))
         time.sleep(breaker_cooldown_s * 1.5)
         wave("recover-kill")
-        hang_target = min(1, workers - 1)
+        hang_target = min(1, pool.size - 1)
         wave(
             "hang",
             inject=lambda: pool.hang_worker(
@@ -235,7 +234,7 @@ def run_drill(
     from repro.bench.loadgen import LatencyStats
 
     stats = LatencyStats.from_seconds(latencies)
-    breaker = status["guard"]["breaker"] or {}
+    breaker = status["guard"]["breaker"]
     transitions = cluster.breakers.transitions
     accounted = counts["ok"] + counts["shed"] + counts["deadline"]
     checks = {

@@ -281,7 +281,7 @@ class BreakerBoard:
             return before != "open" and breaker.state == "open"
 
     def record_fallback(self) -> None:
-        """A shard was served by the in-process fallback engine."""
+        """A shard was served on the dispatch thread (breaker open)."""
         with self._lock:
             self.fallbacks += 1
 

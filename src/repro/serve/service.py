@@ -66,15 +66,16 @@ class ServingService:
         there on warmup/mutate. See
         :class:`~repro.serve.snapshot.SnapshotManager`.
     workers:
-        ``0`` (default) answers each batch with the snapshot's own
-        engine on the broker's executor thread. Any positive count
-        scales out instead: a :class:`~repro.cluster.ThreadWorkerPool`
-        of that many worker *threads*, each with its own engine over
-        one shared in-process index, answers per-worker shards of
-        every coalesced micro-batch, split by a
-        :class:`~repro.cluster.ShardRouter`. Mutations run the
-        two-phase worker swap automatically; a crashed worker is
-        respawned and its shard retried, never dropped.
+        Worker *threads* answering per-worker shards of every
+        coalesced micro-batch, split by a
+        :class:`~repro.cluster.ShardRouter` over a
+        :class:`~repro.cluster.ThreadWorkerPool`. Every shard answers
+        from the engine of the snapshot its batch read — one engine
+        and one column memo per snapshot, whatever the count — so a
+        mutation is just the snapshot swap. ``0`` (default) behaves
+        like ``1``: one worker, whose single shard runs on the
+        broker's executor thread. A crashed worker is respawned and
+        its shard retried, never dropped.
     backend:
         ``"thread"`` (default), the only worker backend. ``"process"``
         is still accepted with ``workers=0``, where it changes
@@ -89,8 +90,8 @@ class ServingService:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
         batches go through ``O(delta)`` index surgery (bit-identical
-        results, chained ``.delta-<n>`` segments on disk, segment-only
-        two-phase swaps in cluster mode) instead of a full rebuild.
+        results, chained ``.delta-<n>`` segments on disk) instead of a
+        full rebuild.
         ``delta_mode="off"`` restores the rebuild-every-time
         behaviour.
     telemetry:
@@ -116,11 +117,11 @@ class ServingService:
         without poisoning the rest of its micro-batch. Per-request
         ``deadline_ms`` overrides it; ``0`` (default) disables.
     breaker_threshold / breaker_cooldown_s:
-        Per-worker circuit breaker (cluster mode): after
-        ``breaker_threshold`` consecutive crashes a worker's breaker
-        opens and its shards are answered by the in-process fallback
-        engine; after ``breaker_cooldown_s`` seconds a half-open
-        probe decides whether to restore it. See
+        Per-worker circuit breaker: after ``breaker_threshold``
+        consecutive crashes a worker's breaker opens and its shards
+        are answered on the dispatch thread, bypassing the worker;
+        after ``breaker_cooldown_s`` seconds a half-open probe
+        decides whether to restore it. See
         :class:`~repro.serve.guard.BreakerBoard`.
     canary_fraction / canary_min_requests / canary_max_error_delta / canary_max_p95_ratio:
         Blue-green swap policy for :meth:`mutate_canary`: route
@@ -204,7 +205,6 @@ class ServingService:
         self.cache = (
             ResultCache(cache_entries) if cache_entries else None
         )
-        self.cluster = None
         if backend not in ("process", "thread"):
             raise ValueError(
                 f"unknown backend {backend!r}; the worker backend is "
@@ -215,23 +215,16 @@ class ServingService:
                 "the process worker backend was removed; use "
                 "backend='thread' (the default) with workers >= 1"
             )
-        if workers:
-            from repro.cluster import ShardRouter, ThreadWorkerPool
+        from repro.cluster import ShardRouter, ThreadWorkerPool
 
-            self.cluster = ShardRouter(
-                ThreadWorkerPool(
-                    workers=workers, shard_timeout=shard_timeout
-                ),
-                self.snapshots,
-                obs=self.observability,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown_s=breaker_cooldown_s,
-            )
-            self.snapshots.pre_swap = self.cluster.pre_swap
-            self.snapshots.post_swap = self.cluster.post_swap
-            # a rolled-back canary's green generation is released
-            # from the workers (respecting in-flight pins)
-            self.snapshots.abort_swap = self.cluster.abort_prepared
+        self.cluster = ShardRouter(
+            ThreadWorkerPool(
+                workers=max(1, workers), shard_timeout=shard_timeout
+            ),
+            obs=self.observability,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown_s=breaker_cooldown_s,
+        )
         self.broker = QueryBroker(
             self.snapshots,
             max_batch=max_batch,
@@ -261,20 +254,12 @@ class ServingService:
     # async lifecycle + queries
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "ServingService":
-        if self.cluster is not None and not self.cluster.started:
-            # priming K worker engines blocks; keep it off the loop
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.cluster.start
-            )
         await self.broker.start()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.broker.stop()
-        if self.cluster is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.cluster.stop
-            )
+        self.cluster.stop()
 
     async def top_k(
         self,
@@ -303,15 +288,9 @@ class ServingService:
     # background-loop lifecycle + sync queries
     # ------------------------------------------------------------------
     def start_background(self) -> None:
-        """Run the broker on a private event loop in a daemon thread.
-
-        In cluster mode (``workers=K``) this also starts the worker
-        pool — construction alone never builds a worker engine.
-        """
+        """Run the broker on a private event loop in a daemon thread."""
         if self._thread is not None:
             raise RuntimeError("service already running in background")
-        if self.cluster is not None and not self.cluster.started:
-            self.cluster.start()
         loop = asyncio.new_event_loop()
         started = threading.Event()
 
@@ -338,8 +317,7 @@ class ServingService:
             self._thread.join(timeout)
             self._thread = None
             self._loop = None
-        if self.cluster is not None:
-            self.cluster.stop()
+        self.cluster.stop()
 
     def submit(self, coro):
         """Schedule a coroutine on the service loop (thread-safe).
@@ -399,7 +377,7 @@ class ServingService:
         """Apply graph edits via background build + snapshot hot-swap.
 
         Safe to call from any thread while queries are in flight:
-        batches pinned to the old snapshot finish on it, later
+        batches that read the old snapshot finish on it, later
         batches see the new one.
         """
         return self.snapshots.mutate(add=add, remove=remove)
@@ -448,10 +426,10 @@ class ServingService:
             )
             canary.inject_green_fault = inject_green_fault
             canary.on_promote = lambda: self.snapshots.promote_canary(
-                blue, green
+                green
             )
             canary.on_rollback = lambda: self.snapshots.rollback_canary(
-                blue, green
+                blue
             )
             self._last_canary = canary
             self.broker.canary = canary
@@ -505,11 +483,7 @@ class ServingService:
                 else None
             ),
             "snapshots": self.snapshots.describe(),
-            "cluster": (
-                self.cluster.describe()
-                if self.cluster is not None
-                else None
-            ),
+            "cluster": self.cluster.describe(),
             "guard": {
                 "max_queue_depth": self.broker.max_queue_depth,
                 "default_deadline_ms": (
@@ -518,11 +492,7 @@ class ServingService:
                 "queue_depth": self.broker.queue_depth,
                 "shed": self.broker.stats.shed,
                 "deadline_expired": self.broker.stats.deadline_expired,
-                "breaker": (
-                    self.cluster.breakers.describe()
-                    if self.cluster is not None
-                    else None
-                ),
+                "breaker": self.cluster.breakers.describe(),
                 "canary": self.canary_status(),
             },
             "observability": self.observability.describe(),
@@ -534,20 +504,9 @@ class ServingService:
         Renders every registered series at call time — the callback
         series read the broker/cache/snapshot/cluster/engine stats on
         this very call, so the document always reflects the live
-        counters. In cluster mode each worker's cumulative metric
-        snapshot is merged into the registry first, with replacement
-        semantics, so the worker-side series (``repro_worker_*``, one
-        ``worker="worker-<i>"`` label per worker) cover the whole
-        pool.
+        counters.
 
         With telemetry disabled, returns a one-line comment document
         (still valid Prometheus text).
         """
-        obs = self.observability
-        if (
-            obs.enabled
-            and self.cluster is not None
-            and self.cluster.started
-        ):
-            self.cluster.collect_worker_metrics(obs.registry)
-        return obs.render()
+        return self.observability.render()

@@ -175,20 +175,6 @@ class SnapshotManager:
         of ``Q`` may live in the overlay patch before the applied
         index is compacted to a clean CSR.
 
-    Attributes
-    ----------
-    pre_swap / post_swap:
-        Optional hot-swap hooks (``None`` by default). ``pre_swap(fresh)``
-        runs after the replacement snapshot is built and warmed but
-        *before* the pointer swap (and on a canary's green
-        candidate) — raising from it aborts the mutation with the old
-        snapshot still serving. ``post_swap(old, fresh)`` runs right
-        after the pointer swap. :class:`~repro.cluster.ShardRouter`
-        wires these to the two-phase worker swap (``prepare``
-        everywhere, then ``commit`` + deferred release), which is how
-        a multi-worker deployment keeps the zero-failed-requests
-        guarantee across a mutation.
-
     Examples
     --------
     A mutation never touches the serving snapshot — it builds a new
@@ -249,12 +235,6 @@ class SnapshotManager:
         self.index_loads = 0
         self.index_saves = 0
         self.index_load_errors = 0
-        self.pre_swap = None
-        self.post_swap = None
-        # blue-green (None outside cluster mode): a green generation
-        # is made servable through pre_swap, and abort_swap releases
-        # it on rollback (the router wires it to abort_prepared)
-        self.abort_swap = None
         self.canary_prepares = 0
         self.canary_promotes = 0
         self.canary_rollbacks = 0
@@ -274,9 +254,9 @@ class SnapshotManager:
                 self._delta_seq = siblings[-1][0]
         self._swap_latency: deque[dict] = deque(maxlen=256)
         # monotonic generation allocator: a rolled-back green's seq is
-        # never reused (the pool's deferred release of that generation
-        # could otherwise unlink a *new* generation file of the same
-        # name)
+        # never reused, because result-cache keys carry the seq — a
+        # later generation reusing it could be served answers cached
+        # from the rejected green
         self._seq_alloc = 0
         engine = self._engine_for(graph.copy() if copy else graph)
         self._current = Snapshot(engine, seq=0)
@@ -417,7 +397,7 @@ class SnapshotManager:
         labels, resolved against the *pre-mutation* snapshot). The new
         engine is built and warmed entirely off to the side; the old
         snapshot keeps serving until the atomic pointer swap, and
-        in-flight queries that pinned it finish on it afterwards.
+        in-flight queries that read it finish on it afterwards.
 
         With ``delta_mode="auto"`` a batch that stays under
         ``max_delta_fraction`` of the edge set goes through the
@@ -597,14 +577,13 @@ class SnapshotManager:
             engine.walk_index
 
     def _record_swap(
-        self, kind: str, build_s: float, prepare_s: float, commit_s: float
+        self, kind: str, build_s: float, commit_s: float
     ) -> None:
         row = {
             "kind": kind,
             "build_s": build_s,
-            "prepare_s": prepare_s,
             "commit_s": commit_s,
-            "total_s": build_s + prepare_s + commit_s,
+            "total_s": build_s + commit_s,
         }
         self._swap_latency.append(row)
         if self.swap_observer is not None:
@@ -613,26 +592,13 @@ class SnapshotManager:
             except Exception:  # noqa: BLE001 - telemetry must never
                 pass  # fail a mutation
 
-    def _swap_pointer(self, base: Snapshot, fresh: Snapshot) -> tuple:
-        """Two-phase swap; returns ``(prepare_s, commit_s)``."""
-        t_prepare = perf_counter()
-        if self.pre_swap is not None:
-            # two-phase swap, phase one: remote holders (cluster
-            # workers) build their replacement engines while the
-            # old snapshot keeps serving. Raising aborts the
-            # mutation with serving untouched.
-            self.pre_swap(fresh)
+    def _swap_pointer(self, fresh: Snapshot) -> float:
+        """Flip ``current`` to ``fresh``; returns the commit seconds."""
         t_commit = perf_counter()
-        if self.pre_swap is not None:
-            prepare_s = t_commit - t_prepare
-        else:
-            prepare_s = 0.0
         with self._swap_lock:
             self._current = fresh
             self.swaps += 1
-        if self.post_swap is not None:
-            self.post_swap(base, fresh)
-        return prepare_s, perf_counter() - t_commit
+        return perf_counter() - t_commit
 
     def _mutate_delta(
         self,
@@ -663,14 +629,14 @@ class SnapshotManager:
             delta=delta,
             base_seq=base.seq,
         )
-        prepare_s, commit_s = self._swap_pointer(base, fresh)
+        commit_s = self._swap_pointer(fresh)
         self._chain_depth = delta.chain_depth
         self.delta_swaps += 1
         # persist only after the swap (segment write must not extend
         # how long traffic is served by the stale snapshot); a delta
         # swap ships the segment, never the full artifact file
         self._persist_delta(delta)
-        self._record_swap("delta", build_s, prepare_s, commit_s)
+        self._record_swap("delta", build_s, commit_s)
         return fresh
 
     def _mutate_full(
@@ -691,22 +657,21 @@ class SnapshotManager:
         self.builds += 1
         build_s = perf_counter() - t_build
         fresh = Snapshot(engine, seq=self._alloc_seq(base))
-        prepare_s, commit_s = self._swap_pointer(base, fresh)
+        commit_s = self._swap_pointer(fresh)
         self.full_swaps += 1
         # persist only after the swap: the disk write (checksums
         # + full file) must not extend how long traffic is served
         # by the stale snapshot
         self._persist_index(engine)
-        self._record_swap("full", build_s, prepare_s, commit_s)
+        self._record_swap("full", build_s, commit_s)
         return fresh
 
     def _alloc_seq(self, base: Snapshot) -> int:
         """Next generation number — monotonic, never reused.
 
         Equals ``base.seq + 1`` on the ordinary mutation path; only a
-        rolled-back canary leaves a gap (its seq is burned, so the
-        pool's deferred release of the rejected generation can never
-        collide with a later one).
+        rolled-back canary leaves a gap (its seq is burned, so no
+        later generation can hit the rejected one's cached answers).
         """
         self._seq_alloc = max(self._seq_alloc, base.seq) + 1
         return self._seq_alloc
@@ -721,11 +686,10 @@ class SnapshotManager:
     ) -> tuple[Snapshot, Snapshot]:
         """Build a green candidate beside the serving blue snapshot.
 
-        The blue-green variant of :meth:`mutate` phase one: the edited
-        graph's engine is built, warmed, and (in cluster mode) made
-        servable by every worker via the ``pre_swap`` hook — but
-        the ``current`` pointer is *not* swapped and the persisted
-        index is *not* touched. Returns ``(blue, green)``; the caller
+        The blue-green variant of :meth:`mutate`: the edited graph's
+        engine is built and warmed — but the ``current`` pointer is
+        *not* swapped and the persisted index is *not* touched.
+        Returns ``(blue, green)``; the caller
         (the serving service) shifts a traffic fraction to green and
         later calls :meth:`promote_canary` or :meth:`rollback_canary`.
 
@@ -749,50 +713,39 @@ class SnapshotManager:
             self._warm(engine)
             self.builds += 1
             green = Snapshot(engine, seq=self._alloc_seq(base))
-            if self.pre_swap is not None:
-                # the workers load the green generation; raising
-                # aborts the canary with blue serving untouched
-                self.pre_swap(green)
             self.canary_prepares += 1
             return base, green
 
-    def promote_canary(self, blue: Snapshot, green: Snapshot) -> Snapshot:
+    def promote_canary(self, green: Snapshot) -> Snapshot:
         """Make the green candidate the serving snapshot.
 
-        Runs the ordinary two-phase swap (workers already hold the
-        generation, so the prepare phase is an adoption, not a
-        rebuild) and persists green's index — from here on this is
-        exactly a completed :meth:`mutate`.
+        Flips the pointer to green — whose engine, warmed by the
+        canary's traffic, keeps serving — and persists its index; from
+        here on this is exactly a completed :meth:`mutate`.
         """
         with self._build_lock:
-            prepare_s, commit_s = self._swap_pointer(blue, green)
+            commit_s = self._swap_pointer(green)
             self.full_swaps += 1
             self.canary_promotes += 1
             self._persist_index(green.engine)
-            self._record_swap("full", 0.0, prepare_s, commit_s)
+            self._record_swap("full", 0.0, commit_s)
             return green
 
-    def rollback_canary(self, blue: Snapshot, green: Snapshot) -> Snapshot:
+    def rollback_canary(self, blue: Snapshot) -> Snapshot:
         """Reject the green candidate; blue keeps serving untouched.
 
-        Nothing was swapped and nothing was persisted, so rollback is
-        pure release: the ``abort_swap`` hook lets remote holders drop
-        the green generation (respecting any green batch still in
-        flight). Returns ``blue``.
+        Nothing was swapped and nothing was persisted, so rollback
+        only counts it. Returns ``blue``.
         """
         with self._build_lock:
             self.canary_rollbacks += 1
-            if self.abort_swap is not None:
-                self.abort_swap(green)
             return blue
 
     def swap_latency_summary(self) -> dict:
         """count/p50/p90/max per stage, split full vs delta swaps.
 
         Aggregated over the last 256 swaps. Stages: ``build`` (graph
-        edit + artifact work + warmup), ``prepare`` (two-phase
-        ``pre_swap`` fan-out), ``commit`` (pointer flip +
-        ``post_swap``).
+        edit + artifact work + warmup) and ``commit`` (pointer flip).
         """
         out: dict = {}
         rows = list(self._swap_latency)
@@ -800,9 +753,7 @@ class SnapshotManager:
             kind_rows = [r for r in rows if r["kind"] == kind]
             entry: dict = {"count": len(kind_rows)}
             if kind_rows:
-                for stage in (
-                    "build_s", "prepare_s", "commit_s", "total_s"
-                ):
+                for stage in ("build_s", "commit_s", "total_s"):
                     vals = sorted(r[stage] for r in kind_rows)
                     entry[stage] = {
                         "p50": vals[len(vals) // 2],

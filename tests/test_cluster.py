@@ -1,15 +1,17 @@
 """Tests for :mod:`repro.cluster` — sharded serving, failure paths.
 
 The happy-path tests share one module-scoped router; the
-failure-injection and hot-swap tests build their own, on deliberately
-small graphs.
+failure-injection and engine-sharing tests build their own, on
+deliberately small graphs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,9 +28,9 @@ def top_k_tasks(ids, k=5):
     return [{"op": "top_k", "query": q, "k": k} for q in ids]
 
 
-def full_columns(router, seq, ids, num_nodes):
+def full_columns(router, snapshot, ids, num_nodes):
     """Every score of each query's column, via full-width rankings."""
-    results = router.compute_tasks(seq, [
+    results = router.compute_tasks(snapshot, [
         {"op": "top_k", "query": q, "k": num_nodes,
          "include_query": True}
         for q in ids
@@ -47,9 +49,9 @@ def cluster_env():
     """A started 2-worker router over a 300-node graph."""
     graph = random_digraph(300, 1800, seed=7)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2))
     router.start()
-    yield graph, snapshots, router
+    yield graph, snapshots.current, router
     router.stop()
 
 
@@ -66,9 +68,9 @@ def test_pool_rejects_bad_worker_count():
 
 def test_router_compute_requires_start():
     snapshots = SnapshotManager(random_digraph(20, 60, seed=1), CONFIG)
-    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1))
     with pytest.raises(ClusterError, match="not started"):
-        router.compute_tasks(0, top_k_tasks([0, 1]))
+        router.compute_tasks(snapshots.current, top_k_tasks([0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +79,9 @@ def test_router_compute_requires_start():
 def test_sharded_columns_match_in_process_engine(
     cluster_env, reference_engine
 ):
-    graph, _, router = cluster_env
-    snapshot = router.pin()
-    try:
-        ids = list(range(0, 40))
-        columns = full_columns(router, snapshot.seq, ids, graph.num_nodes)
-    finally:
-        router.unpin(snapshot.seq)
+    graph, snapshot, router = cluster_env
+    ids = list(range(0, 40))
+    columns = full_columns(router, snapshot, ids, graph.num_nodes)
     for q in ids:
         np.testing.assert_array_equal(
             columns[q], reference_engine.single_source(q)
@@ -91,12 +89,8 @@ def test_sharded_columns_match_in_process_engine(
 
 
 def test_batch_is_sharded_across_every_worker(cluster_env):
-    _, _, router = cluster_env
-    snapshot = router.pin()
-    try:
-        router.compute_tasks(snapshot.seq, top_k_tasks(range(100, 140)))
-    finally:
-        router.unpin(snapshot.seq)
+    _, snapshot, router = cluster_env
+    router.compute_tasks(snapshot, top_k_tasks(range(100, 140)))
     status = router.pool.worker_status()
     assert all(w["alive"] for w in status)
     assert all(w["shards_served"] >= 1 for w in status)
@@ -105,16 +99,12 @@ def test_batch_is_sharded_across_every_worker(cluster_env):
 
 def test_small_batches_rotate_across_workers(cluster_env):
     """Size-1 batches must not all land on worker 0 (round-robin)."""
-    _, _, router = cluster_env
+    _, snapshot, router = cluster_env
     before = [
         w["shards_served"] for w in router.pool.worker_status()
     ]
-    snapshot = router.pin()
-    try:
-        for q in range(60, 60 + 2 * router.pool.size):
-            router.compute_tasks(snapshot.seq, top_k_tasks([q]))
-    finally:
-        router.unpin(snapshot.seq)
+    for q in range(60, 60 + 2 * router.pool.size):
+        router.compute_tasks(snapshot, top_k_tasks([q]))
     after = [
         w["shards_served"] for w in router.pool.worker_status()
     ]
@@ -124,33 +114,23 @@ def test_small_batches_rotate_across_workers(cluster_env):
 
 
 def test_duplicate_and_empty_batches(cluster_env):
-    _, _, router = cluster_env
-    snapshot = router.pin()
-    try:
-        results = router.compute_tasks(
-            snapshot.seq, top_k_tasks([5, 5, 9, 5])
-        )
-        assert [r.query for r in results] == [5, 5, 9, 5]
-        assert results[0] == results[1] == results[3]
-        assert router.compute_tasks(snapshot.seq, []) == []
-    finally:
-        router.unpin(snapshot.seq)
+    _, snapshot, router = cluster_env
+    results = router.compute_tasks(snapshot, top_k_tasks([5, 5, 9, 5]))
+    assert [r.query for r in results] == [5, 5, 9, 5]
+    assert results[0] == results[1] == results[3]
+    assert router.compute_tasks(snapshot, []) == []
 
 
 # ---------------------------------------------------------------------------
 # worker failure: crashed workers respawn, requests never drop
 # ---------------------------------------------------------------------------
 def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
-    _, _, router = cluster_env
+    _, snapshot, router = cluster_env
     before = router.pool.describe()["respawns"]
     router.pool.kill_worker(0)
-    snapshot = router.pin()
-    try:
-        results = router.compute_tasks(
-            snapshot.seq, top_k_tasks(range(150, 190))
-        )
-    finally:
-        router.unpin(snapshot.seq)
+    results = router.compute_tasks(
+        snapshot, top_k_tasks(range(150, 190))
+    )
     assert [r.query for r in results] == list(range(150, 190))
     assert router.pool.describe()["respawns"] == before + 1
     assert router.shard_retries >= 1
@@ -158,148 +138,208 @@ def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
 
 
 def test_kill_mid_batch_request_still_completes(cluster_env):
-    _, _, router = cluster_env
+    _, snapshot, router = cluster_env
     before = router.pool.describe()["respawns"]
     ids = list(range(190, 260))
     killer = threading.Thread(
         target=lambda: (time.sleep(0.005),
                         router.pool.kill_worker(1))
     )
-    snapshot = router.pin()
-    try:
-        killer.start()
-        first = router.compute_tasks(snapshot.seq, top_k_tasks(ids))
-        killer.join()
-        # whether the kill landed mid-shard or between batches, the
-        # next batch must route through a healthy (respawned) worker
-        second = router.compute_tasks(
-            snapshot.seq, top_k_tasks(range(260, 290))
-        )
-    finally:
-        router.unpin(snapshot.seq)
+    killer.start()
+    first = router.compute_tasks(snapshot, top_k_tasks(ids))
+    killer.join()
+    # whether the kill landed mid-shard or between batches, the
+    # next batch must route through a healthy (respawned) worker
+    second = router.compute_tasks(snapshot, top_k_tasks(range(260, 290)))
     assert [r.query for r in first] == ids
     assert [r.query for r in second] == list(range(260, 290))
     assert router.pool.describe()["respawns"] >= before + 1
 
 
-# ---------------------------------------------------------------------------
-# hot-swap: two-phase propagation, abort-on-failure
-# ---------------------------------------------------------------------------
-@pytest.fixture()
-def swap_env():
-    graph = random_digraph(120, 600, seed=11)
-    snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
-    snapshots.pre_swap = router.pre_swap
-    snapshots.post_swap = router.post_swap
-    router.start()
-    yield graph, snapshots, router
-    router.stop()
-
-
-def test_two_phase_swap_propagates_to_all_workers(swap_env):
-    graph, snapshots, router = swap_env
-    n = graph.num_nodes
-    base_seq = snapshots.current.seq
-    snapshot = router.pin()
-    old_columns = full_columns(router, snapshot.seq, [3], n)
-    router.unpin(snapshot.seq)
-
-    fresh = snapshots.mutate(add=[(0, 3), (1, 3), (2, 3)])
-    assert fresh.seq == base_seq + 1
-    status = router.pool.worker_status()
-    assert all(w["current_seq"] == fresh.seq for w in status)
-
-    pinned = router.pin()
-    try:
-        assert pinned.seq == fresh.seq
-        new_columns = full_columns(router, pinned.seq, [3], n)
-    finally:
-        router.unpin(pinned.seq)
-    # the mutation gave node 3 new in-links: its column must change
-    assert not np.array_equal(new_columns[3], old_columns[3])
-    expected = SimilarityEngine(
-        fresh.graph, CONFIG
-    ).single_source(3)
-    np.testing.assert_array_equal(new_columns[3], expected)
-    # the drained old generation is released from the workers
-    gens = [w["generations"] for w in router.pool.worker_status()]
-    assert all(g == [fresh.seq] for g in gens)
-
-
-def test_failed_prepare_aborts_swap_and_old_snapshot_serves(
-    swap_env, monkeypatch
-):
-    _, snapshots, router = swap_env
-    base = snapshots.current
-
-    def broken_prepare(snapshot):
-        raise ClusterError("injected: workers cannot prepare")
-
-    monkeypatch.setattr(router.pool, "prepare", broken_prepare)
-    with pytest.raises(ClusterError, match="injected"):
-        snapshots.mutate(add=[(0, 5)])
-    # no swap happened; the old generation still answers queries
-    assert snapshots.current is base
-    snapshot = router.pin()
-    try:
-        results = router.compute_tasks(snapshot.seq, top_k_tasks([0, 1, 2]))
-    finally:
-        router.unpin(snapshot.seq)
-    assert [r.query for r in results] == [0, 1, 2]
-
-
-def test_aborted_prepare_unregisters_the_failed_generation(
-    swap_env, monkeypatch
-):
-    """A failed swap must not poison later respawns with a bad gen."""
-    from repro.engine.engine import SimilarityEngine as Engine
-
-    _, snapshots, router = swap_env
-    pool = router.pool
-    # full rebuilds only: every from_index call below is the pool's
-    snapshots.delta_mode = "off"
-    adopt = Engine.from_index.__func__
-    calls = []
-
-    def fail_on_second_worker(cls, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ClusterError("injected: prepare failed")
-        return adopt(cls, *args, **kwargs)
-
-    monkeypatch.setattr(
-        Engine, "from_index", classmethod(fail_on_second_worker)
-    )
-    with pytest.raises(ClusterError, match="injected"):
-        snapshots.mutate(add=[(0, 5)])
-    monkeypatch.undo()
-    # the failed generation is gone from the replay set and every
-    # worker, including the one whose engine was built
-    assert pool.describe()["generations"] == [0]
-    assert all(w["generations"] == [0] for w in pool.worker_status())
-    # crash recovery replays only healthy generations
-    pool.kill_worker(0)
-    snapshot = router.pin()
-    try:
-        results = router.compute_tasks(
-            snapshot.seq, top_k_tasks([0, 1, 2, 3])
-        )
-    finally:
-        router.unpin(snapshot.seq)
-    assert [r.query for r in results] == [0, 1, 2, 3]
-    assert pool.worker_status()[0]["generations"] == [0]
-
-
 def test_respawn_refused_after_stop():
-    snapshots = SnapshotManager(
-        random_digraph(30, 90, seed=2), CONFIG
-    )
-    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1))
     router.start()
     router.stop()
     with pytest.raises(ClusterError, match="stopped"):
         router.pool.respawn(0)
+
+
+# ---------------------------------------------------------------------------
+# one engine per snapshot: workers share its artifacts, memo and stats
+# ---------------------------------------------------------------------------
+def serve_reads(config, workers, reads, *, concurrent=True):
+    """Serve ``reads`` through a fresh service; its /status document."""
+    graph = random_digraph(120, 600, seed=29)
+
+    async def drive():
+        async with ServingService(
+            graph, config, workers=workers, cache_entries=0,
+            telemetry=False,
+        ) as service:
+            if concurrent:
+                await asyncio.gather(
+                    *(service.top_k(q, k=5) for q in reads)
+                )
+            else:
+                for q in reads:
+                    await service.top_k(q, k=5)
+            return service.status()
+
+    return asyncio.run(drive())
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_worker_reads_count_in_the_snapshot_engine(mode):
+    """/status, repro_engine_* and repro_approx_* see worker work."""
+    config = CONFIG.replace(mode=mode, seed=5)
+    reads = list(range(40))
+    local = serve_reads(config, 0, reads)
+    sharded = serve_reads(config, 2, reads)
+    assert sharded["cluster"]["shards_dispatched"] >= 2
+    for field in ("misses", "hits", "column_computes"):
+        assert sharded["engine"][field] == local["engine"][field], field
+    assert sharded["engine"]["column_computes"] == 40
+    if mode == "approx":
+        estimator = sharded["approx"]["estimator"]
+        assert estimator["columns"] == 40
+        assert estimator == local["approx"]["estimator"]
+
+
+def test_one_compute_per_column_across_workers():
+    """Four reads of one query, rotated over two workers: one compute."""
+    status = serve_reads(CONFIG, 2, [7, 7, 7, 7], concurrent=False)
+    served = [w["shards_served"] for w in status["cluster"]["worker_status"]]
+    assert served == [2, 2]
+    assert status["engine"]["column_computes"] == 1
+    assert status["engine"]["misses"] == 1
+    assert status["engine"]["hits"] == 3
+
+
+def test_one_engine_per_snapshot(monkeypatch):
+    """Start plus one mutation at workers=2 builds two engines."""
+    built = []
+    init = SimilarityEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimilarityEngine, "__init__", counting_init)
+    service = ServingService(
+        random_digraph(80, 400, seed=31), CONFIG, workers=2,
+        cache_entries=0,
+    )
+    service.start_background()
+    try:
+        service.top_k_sync(3, k=3)
+        fresh = service.mutate(add=[(0, 3)])
+        service.top_k_sync(3, k=3)
+    finally:
+        service.close()
+    assert len(built) == 2
+    assert built[-1] is fresh.engine
+    assert fresh.engine.stats.column_computes == 1
+
+
+def test_inflight_column_is_computed_once():
+    """A column another thread is computing is awaited, not redone."""
+    engine = SimilarityEngine(random_digraph(60, 300, seed=33), CONFIG)
+    gate, entered = threading.Event(), threading.Event()
+    compute = engine._compute_columns
+
+    def slow_compute(queries):
+        entered.set()
+        gate.wait(5)
+        return compute(queries)
+
+    engine._compute_columns = slow_compute
+    first = threading.Thread(target=engine.columns, args=([4],))
+    first.start()
+    assert entered.wait(5)
+    waiter = threading.Thread(target=engine.columns, args=([4, 5],))
+    waiter.start()
+    time.sleep(0.05)
+    gate.set()
+    for thread in (first, waiter):
+        thread.join(10)
+        assert not thread.is_alive()
+    assert engine.stats.column_computes == 2  # 4 once, 5 once
+    assert (engine.stats.misses, engine.stats.hits) == (2, 1)
+
+
+def test_failed_compute_reaches_its_waiters():
+    engine = SimilarityEngine(random_digraph(60, 300, seed=34), CONFIG)
+    gate, entered = threading.Event(), threading.Event()
+
+    def broken(queries):
+        entered.set()
+        gate.wait(5)
+        raise RuntimeError("injected kernel failure")
+
+    engine._compute_columns = broken
+    errors = []
+
+    def read():
+        try:
+            engine.columns([4])
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    first = threading.Thread(target=read)
+    first.start()
+    assert entered.wait(5)
+    waiter = threading.Thread(target=read)
+    waiter.start()
+    time.sleep(0.05)
+    gate.set()
+    for thread in (first, waiter):
+        thread.join(10)
+        assert not thread.is_alive()
+    assert [str(e) for e in errors] == ["injected kernel failure"] * 2
+    # the failed claim is gone: the next read computes afresh
+    del engine._compute_columns
+    assert engine.columns([4])[4].shape == (60,)
+    assert engine.stats.column_computes == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_concurrent_reads_keep_shared_counters_exact(mode):
+    """More threads than cores on one engine: no lost update."""
+    graph = random_digraph(80, 400, seed=36)
+    config = CONFIG.replace(mode=mode, seed=5)
+    shared = SimilarityEngine(graph, config)
+    reference = SimilarityEngine(graph, config)
+    reference.columns(range(80))
+    pairs = [(i % 80, (7 * i) % 80) for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(shared.columns, pairs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    stats = shared.stats
+    assert stats.column_computes == stats.misses == 80
+    assert stats.hits + stats.misses == sum(len(set(p)) for p in pairs)
+    if mode == "approx":
+        assert (
+            shared._approx_estimator.stats
+            == reference._approx_estimator.stats
+        )
+
+
+def test_invalidate_mid_compute_keeps_stale_column_out():
+    engine = SimilarityEngine(random_digraph(60, 300, seed=35), CONFIG)
+    compute = engine._compute_columns
+
+    def invalidating_compute(queries):
+        engine.invalidate()  # e.g. a mutation lands mid-kernel
+        return compute(queries)
+
+    engine._compute_columns = invalidating_compute
+    engine.columns([4])
+    assert 4 not in engine._caches.columns
+    assert not engine._caches.inflight
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +378,11 @@ def test_service_with_workers_serves_and_swaps_mid_traffic():
     assert all(len(r) == 5 for r in rankings + after)
     assert fresh.seq == 1
     assert status["broker"]["errors"] == 0
+    assert status["snapshots"]["current"]["seq"] == fresh.seq
     cluster = status["cluster"]
     assert cluster["pool"]["workers"] == 2
     assert cluster["shards_dispatched"] > 0
-    assert all(
-        w["current_seq"] == fresh.seq
-        for w in cluster["worker_status"]
-        if w["alive"]
-    )
+    assert all(w["alive"] for w in cluster["worker_status"])
     service.close()
 
 

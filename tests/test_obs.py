@@ -2,7 +2,7 @@
 
 Covers the Prometheus exposition format, histogram invariants, the
 tracing pipeline end to end (including trace ids echoed by the worker
-threads), slow-query log bounding, per-worker metric merging, and the
+threads), slow-query log bounding, the per-worker series, and the
 E-Divisive change-point gate.
 """
 
@@ -148,57 +148,6 @@ def test_callback_metrics_pull_at_render_time():
 
 
 # ---------------------------------------------------------------------------
-# cross-process merge
-# ---------------------------------------------------------------------------
-def _worker_registry(shards: int) -> MetricsRegistry:
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_worker_shards_total", "x")
-    counter.inc(shards)
-    histogram = registry.histogram(
-        "repro_worker_compute_seconds", "x", buckets=(0.1, 1.0)
-    )
-    histogram.observe(0.05)
-    return registry
-
-
-def test_ingest_is_idempotent_per_source():
-    parent = MetricsRegistry()
-    snapshot = _worker_registry(5).snapshot()
-    parent.ingest("worker-0", snapshot)
-    parent.ingest("worker-0", snapshot)  # re-shipped on every ping
-    text = parent.render()
-    assert (
-        'repro_worker_shards_total{worker="worker-0"} 5.0' in text
-    )
-    assert text.count("repro_worker_shards_total{") == 1
-
-
-def test_ingest_replaces_with_newer_snapshot_and_adds_sources():
-    parent = MetricsRegistry()
-    parent.ingest("worker-0", _worker_registry(5).snapshot())
-    parent.ingest("worker-0", _worker_registry(9).snapshot())
-    parent.ingest("worker-1", _worker_registry(2).snapshot())
-    text = parent.render()
-    assert (
-        'repro_worker_shards_total{worker="worker-0"} 9.0' in text
-    )
-    assert (
-        'repro_worker_shards_total{worker="worker-1"} 2.0' in text
-    )
-    # histogram buckets survive the pickle/merge round trip
-    assert (
-        'repro_worker_compute_seconds_bucket{le="0.1",'
-        'worker="worker-1"} 1.0' in text
-    )
-
-
-def test_snapshot_is_json_safe():
-    # worker snapshots travel over a pipe; keep them plain data
-    snapshot = _worker_registry(3).snapshot()
-    assert json.loads(json.dumps(snapshot)) == snapshot
-
-
-# ---------------------------------------------------------------------------
 # tracing and the slow-query log
 # ---------------------------------------------------------------------------
 def test_trace_spans_record_order_and_meta():
@@ -273,8 +222,9 @@ def traced_service():
 def test_request_spans_cover_the_full_pipeline(traced_service):
     traced_service.top_k_sync(3, k=5)
     trace = traced_service.observability.tracer.last()[-1]
+    # workers=0 shards through the router too: one shard span
     assert trace.span_names() == [
-        "coalesce", "dispatch", "compute", "render",
+        "coalesce", "dispatch", "shard", "compute", "render",
     ]
     assert trace.status == "ok"
     entry = traced_service.observability.tracer.slow_log.entries()[-1]
@@ -304,7 +254,7 @@ def test_metrics_text_reflects_served_requests(traced_service):
 def test_swap_stages_reach_the_histogram(traced_service):
     traced_service.mutate(add=[(0, 0)])  # self-loop: never pre-existing
     registry = traced_service.observability.registry
-    for stage in ("build", "prepare", "commit", "total"):
+    for stage in ("build", "commit", "total"):
         assert registry.sample_value(
             "repro_swap_stage_seconds_count",
             {"kind": "delta", "stage": stage},
@@ -340,7 +290,6 @@ def test_trace_ids_echoed_in_shard_meta():
             await asyncio.gather(
                 *(service.top_k(q, k=5) for q in range(6))
             )
-            # scrape while the pool is up: collection reads workers
             return service.metrics_text()
 
     text = asyncio.run(drive())
@@ -367,8 +316,9 @@ def test_trace_ids_echoed_in_shard_meta():
         }
         assert workers == {0, 1}
 
-        # worker-side registries merge into /metrics with a label
-        for worker in ("worker-0", "worker-1"):
+        # per-worker series carry the bare worker index, like
+        # repro_shard_dispatch_seconds and repro_breaker_state
+        for worker in ("0", "1"):
             assert (
                 f'repro_worker_shards_total{{worker="{worker}"}}'
                 in text
@@ -379,9 +329,11 @@ def test_trace_ids_echoed_in_shard_meta():
             if line.startswith("repro_worker_columns_served_total{")
         )
         assert total_columns >= 6.0
-        # merging is stable across repeated scrapes
-        again = service.observability.registry.render()
-        assert again.count("repro_worker_shards_total{") == 2
+        assert text.count("repro_worker_shards_total{") == 2
+        # the workers computed in the snapshot's engine
+        assert service.observability.registry.sample_value(
+            "repro_engine_column_computes"
+        ) == 6.0
     finally:
         service.close()
 

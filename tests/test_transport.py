@@ -43,22 +43,18 @@ def thread_env():
     """A started 2-worker router over a small graph."""
     graph = random_digraph(120, 600, seed=11)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2))
     router.start()
     yield graph, snapshots, router
     router.stop()
 
 
 def test_worker_killed_mid_run_retries_to_completion(thread_env):
-    _, _, router = thread_env
+    _, snapshots, router = thread_env
     tasks = [{"op": "top_k", "query": q, "k": 5} for q in range(4)]
-    snapshot = router.pin()
-    try:
-        before = router.compute_tasks(snapshot.seq, tasks)
-        router.pool.kill_worker(0)
-        after = router.compute_tasks(snapshot.seq, tasks)
-    finally:
-        router.unpin(snapshot.seq)
+    before = router.compute_tasks(snapshots.current, tasks)
+    router.pool.kill_worker(0)
+    after = router.compute_tasks(snapshots.current, tasks)
     assert [r.to_pairs() for r in before] == [
         r.to_pairs() for r in after
     ]
@@ -92,19 +88,14 @@ def test_worker_topk_ties_match_parent_selection():
     graph."""
     graph = tie_heavy_graph()
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2))
     router.start()
     try:
-        snapshot = router.pin()
-        try:
-            tasks = [
-                {"op": "top_k", "query": q, "k": 4,
-                 "include_query": False}
-                for q in range(6)
-            ]
-            results = router.compute_tasks(snapshot.seq, tasks)
-        finally:
-            router.unpin(snapshot.seq)
+        tasks = [
+            {"op": "top_k", "query": q, "k": 4, "include_query": False}
+            for q in range(6)
+        ]
+        results = router.compute_tasks(snapshots.current, tasks)
     finally:
         router.stop()
     reference = SimilarityEngine(graph, CONFIG)
@@ -186,19 +177,15 @@ class TestThreadBackend:
     def test_router_parity_and_describe(self):
         graph = random_digraph(90, 450, seed=9)
         snapshots = SnapshotManager(graph, CONFIG)
-        router = ShardRouter(ThreadWorkerPool(workers=3), snapshots)
+        router = ShardRouter(ThreadWorkerPool(workers=3))
         router.start()
         try:
-            snapshot = router.pin()
-            try:
-                tasks = [
-                    {"op": "top_k", "query": q, "k": 3,
-                     "include_query": False}
-                    for q in range(12)
-                ] + [{"op": "score", "query": 1, "u": 2}]
-                results = router.compute_tasks(snapshot.seq, tasks)
-            finally:
-                router.unpin(snapshot.seq)
+            tasks = [
+                {"op": "top_k", "query": q, "k": 3,
+                 "include_query": False}
+                for q in range(12)
+            ] + [{"op": "score", "query": 1, "u": 2}]
+            results = router.compute_tasks(snapshots.current, tasks)
             description = router.describe()
         finally:
             router.stop()
@@ -230,7 +217,8 @@ class TestThreadBackend:
         before, after, status = asyncio.run(run())
         assert len(before) == 3 and len(after) == 3
         assert status["snapshots"]["swaps"] >= 1
-        assert status["cluster"]["pool"]["current_seq"] >= 1
+        assert status["snapshots"]["current"]["seq"] >= 1
+        assert status["cluster"]["shards_dispatched"] >= 2
 
     def test_service_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -244,7 +232,8 @@ class TestThreadBackend:
         service = ServingService(
             graph, CONFIG, workers=0, backend="process"
         )
-        assert service.cluster is None
+        # workers=0 is a one-worker router, like workers=1
+        assert service.cluster.pool.size == 1
         service.start_background()
         try:
             assert len(service.top_k_sync(0, k=3)) == 3
@@ -265,12 +254,7 @@ class TestSplitBalance:
         "batch", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64]
     )
     def test_split_never_empty_never_lopsided(self, workers, batch):
-        router = ShardRouter(
-            ThreadWorkerPool(workers=workers),
-            SnapshotManager(
-                random_digraph(10, 30, seed=1), CONFIG
-            ),
-        )
+        router = ShardRouter(ThreadWorkerPool(workers=workers))
         ids = list(range(batch))
         shards = router._split(ids)
         # order-preserving cover, no shard empty, at most one/worker
