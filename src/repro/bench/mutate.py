@@ -113,14 +113,11 @@ def run_mutate_compare(
     # an untimed warm-up.
     batch_rng = np.random.default_rng(seed + 1)
     edit_plan = []
-    plan_graph = graph.copy()
+    plan_graph = graph
     for _ in range(batches + 1):
         add, remove = _batch(batch_rng, plan_graph, batch_fraction)
         edit_plan.append((add, remove))
-        for u, v in add:
-            plan_graph.add_edge(u, v)
-        for u, v in remove:
-            plan_graph.remove_edge(u, v)
+        plan_graph = plan_graph.copy_with_edits(add, remove)
 
     # parity sample, fixed up front: after its edit plan each manager
     # serves the same graph, so its sampled score columns must be

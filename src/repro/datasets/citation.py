@@ -88,8 +88,8 @@ def citation_network(
     topics = rng.dirichlet(
         np.full(num_topics, topic_concentration), size=num_papers
     )
-    graph = DiGraph(num_papers)
     in_deg = np.zeros(num_papers)
+    edges = [np.empty((0, 2), dtype=np.int64)]
     for i in range(1, num_papers):
         k = min(int(rng.poisson(avg_out_degree)), i)
         if k == 0:
@@ -99,7 +99,9 @@ def citation_network(
         weights = affinity * popularity
         weights /= weights.sum()
         targets = rng.choice(i, size=k, replace=False, p=weights)
-        for j in targets:
-            graph.add_edge(i, int(j))
-            in_deg[j] += 1.0
-    return CitationNetwork(graph=graph, topics=topics)
+        edges.append(np.column_stack((np.full(k, i), targets)))
+        in_deg[targets] += 1.0  # targets are distinct
+    return CitationNetwork(
+        graph=DiGraph(num_papers, edges=np.concatenate(edges)),
+        topics=topics,
+    )

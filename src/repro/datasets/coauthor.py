@@ -106,7 +106,7 @@ def coauthor_network(
     # collaboration[u] accumulates u's past collaborations; repeated
     # co-authorship is preferred, clustering the projection.
     collaboration = np.zeros(num_authors)
-    graph = DiGraph(num_authors)
+    edges: list[tuple[int, int]] = []
     papers: list[tuple[int, ...]] = []
     paper_citations = np.zeros(num_papers)
 
@@ -126,8 +126,7 @@ def coauthor_network(
         papers.append(members)
         for i, u in enumerate(members):
             for v in members[i + 1:]:
-                graph.add_edge(u, v)
-                graph.add_edge(v, u)
+                edges += [(u, v), (v, u)]
             collaboration[u] += len(members) - 1
         team_prominence = float(np.mean([prominence[a] for a in members]))
         paper_citations[p] = np.floor(
@@ -143,7 +142,7 @@ def coauthor_network(
         if citations_by_author[a]:
             h_indices[a] = h_index(np.array(citations_by_author[a]))
     return CoauthorNetwork(
-        graph=graph,
+        graph=DiGraph(num_authors, edges=edges),
         topics=topics,
         h_indices=h_indices,
         papers=tuple(papers),

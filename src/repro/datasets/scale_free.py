@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, _unique_sorted
 
 __all__ = ["scale_free_graph"]
 
@@ -84,11 +84,12 @@ def scale_free_graph(
         )
     if not 0 <= pa_bias < 1:
         raise ValueError(f"pa_bias must lie in [0, 1), got {pa_bias}")
-    graph = DiGraph(num_nodes)
     if num_nodes == 1:
-        return graph
+        return DiGraph(num_nodes)
     rng = np.random.default_rng(seed)
-    graph.add_edge(1, 0)
+    # sorted unique keys u * n + v per batch; the batches' heads are
+    # disjoint ranges, so the concatenation is sorted and unique too
+    key_chunks: list[np.ndarray] = [np.array([num_nodes], dtype=np.int64)]
     # Pool of edge tails so far: drawing uniformly from it is exactly
     # drawing nodes proportionally to in-degree.
     tail_chunks: list[np.ndarray] = [np.array([0], dtype=np.int64)]
@@ -105,11 +106,11 @@ def scale_free_graph(
             targets = np.where(
                 rng.random(total) < pa_bias, copied, uniform
             )
-            keys = np.unique(heads * num_nodes + targets)
-            batch_heads = keys // num_nodes
-            batch_tails = keys % num_nodes
-            for u, v in zip(batch_heads.tolist(), batch_tails.tolist()):
-                graph.add_edge(u, v)
-            tail_chunks.append(batch_tails)
+            keys = _unique_sorted(heads * num_nodes + targets)
+            key_chunks.append(keys)
+            tail_chunks.append(keys % num_nodes)
         start = end
-    return graph
+    keys = np.concatenate(key_chunks)
+    return DiGraph(
+        num_nodes, edges=np.column_stack(np.divmod(keys, num_nodes))
+    )

@@ -112,12 +112,12 @@ class Ranking(Sequence):
     ) -> "Ranking":
         """Rank a score vector: select top k, drop excluded ids.
 
-        Uses an ``O(n + t log t)`` partition-then-sort (``t`` = the
-        top-k candidate pool) instead of sorting the whole length-``n``
-        vector — for the serving regime ``k << n`` this is the
-        difference between ranking cost and walk cost per query. Ties
-        at the cut-off are resolved exactly as the full sort would
-        (descending score, then ascending node id).
+        Selects on the score vector itself: one ``O(n)`` partition of
+        its negation finds the cut-off score, every node scoring above
+        it ranks first, and the remaining places go to the nodes tied
+        at the cut-off in ascending node id. The order is exactly the
+        full sort's (descending score, then ascending node id, NaN
+        scores last), at ``O(n + k log k)`` cost.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -126,35 +126,13 @@ class Ranking(Sequence):
         skip = {int(x) for x in exclude}
         if not include_query:
             skip.add(int(query))
-        candidates = np.arange(n)
-        in_range_skip = [s for s in skip if 0 <= s < n]
-        if in_range_skip:
-            mask = np.ones(n, dtype=bool)
-            mask[in_range_skip] = False
-            candidates = candidates[mask]
-        vals = scores[candidates]
-        count = min(k, candidates.size)
-        if count == 0:
-            chosen = candidates[:0]
-        elif count < candidates.size:
-            # O(n) select of the k-th largest value, widen to every
-            # node tied with it, then sort only that pool. A NaN
-            # cut-off (possible with user-registered measures) would
-            # make the tie mask all-False, so fall back to the full
-            # sort, which ranks NaN scores last.
-            part = np.argpartition(-vals, count - 1)
-            cutoff = vals[part[count - 1]]
-            if np.isnan(cutoff):
-                order = np.lexsort((candidates, -vals))
-                chosen = candidates[order[:count]]
-            else:
-                tied = vals >= cutoff
-                pool, pool_vals = candidates[tied], vals[tied]
-                order = np.lexsort((pool, -pool_vals))
-                chosen = pool[order[:count]]
-        else:
-            order = np.lexsort((candidates, -vals))
-            chosen = candidates[order]
+        skip = np.array(
+            sorted(s for s in skip if 0 <= s < n), dtype=np.intp
+        )
+        count = min(k, n - skip.size)
+        chosen = (
+            _top_ids(scores, count, skip) if count > 0 else skip[:0]
+        )
         entries = [
             RankedNode(
                 int(node),
@@ -411,3 +389,46 @@ def run_tasks(engine, tasks) -> list:
         except Exception as exc:  # noqa: BLE001 - per-task isolation
             results.append(exc)
     return results
+
+
+#: ties at the cut-off are searched for in id order, this many at a time
+_TIE_CHUNK = 16384
+
+
+def _top_ids(scores: np.ndarray, count: int, skip: np.ndarray) -> np.ndarray:
+    """Ids of the ``count`` best-ranked nodes not in ``skip`` (sorted,
+    in range), ordered by descending score, then ascending id."""
+    # at most skip.size of the t best are skipped, so the t-th best
+    # score is at or below the count-th best kept one (the negation
+    # ranks NaN last, as the full sort does)
+    t = count + skip.size
+    neg = np.negative(scores)
+    neg.partition(t - 1)
+    cutoff = -neg[t - 1]
+    nan_cut = bool(np.isnan(cutoff))
+    above = np.flatnonzero(~np.isnan(scores) if nan_cut else scores > cutoff)
+    above = _without(above[np.lexsort((above, -scores[above]))], skip)
+    above = above[:count]
+    if above.size == count:
+        return above
+    # the rest are tied at the cut-off and rank in ascending id: scan
+    # only as far as the first (rest + skip.size) of them
+    need = count - above.size + skip.size
+    tied = []
+    for start in range(0, scores.size, _TIE_CHUNK):
+        part = scores[start:start + _TIE_CHUNK]
+        hits = np.flatnonzero(np.isnan(part) if nan_cut else part == cutoff)
+        tied.append(hits + start)
+        need -= hits.size
+        if need <= 0:
+            break
+    tied = _without(np.concatenate(tied), skip)
+    return np.concatenate((above, tied[: count - above.size]))
+
+
+def _without(ids: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """``ids`` minus the members of the small sorted array ``skip``."""
+    if not (skip.size and ids.size):
+        return ids
+    at = np.minimum(np.searchsorted(skip, ids), skip.size - 1)
+    return ids[skip[at] != ids]

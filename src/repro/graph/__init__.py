@@ -1,9 +1,11 @@
 """Directed-graph substrate: structure, matrices, generators, IO, statistics.
 
 Every similarity measure in this package operates on :class:`DiGraph`,
-a plain directed graph with dense integer node ids and optional labels.
-The linear-algebra views (adjacency ``A``, backward transition ``Q``,
-forward transition ``W``) live in :mod:`repro.graph.matrices`.
+a plain directed graph with dense integer node ids and optional labels,
+stored as read-only sorted CSR arrays in both directions (copies share
+them; edits splice new ones). The linear-algebra views (adjacency
+``A``, backward transition ``Q``, forward transition ``W``) live in
+:mod:`repro.graph.matrices` and are built straight from those arrays.
 """
 
 from repro.graph.digraph import DiGraph

@@ -5,21 +5,41 @@ deliberately minimal: nodes are the integers ``0 .. n-1``, parallel edges
 collapse, and optional string labels map user-facing names to ids (the
 paper's Figure 1 uses letters ``a .. k``).
 
+The edge set is stored twice, as two read-only CSR (compressed sparse
+row) views: the *out* view lists ``O(u)`` in row ``u`` and the *in*
+view lists ``I(v)`` in row ``v``. Each view is an ``int64`` row-pointer
+array of ``n + 1`` entries and an ``int32`` column array of ``m``
+entries, sorted within every row — 8 bytes per edge and 16 per node
+for both views together. Nothing ever writes into these arrays, so
+
+* :meth:`DiGraph.copy` shares them: ``O(1)``;
+* an edit builds new arrays — :meth:`DiGraph.copy_with_edits` and
+  :meth:`DiGraph.add_edge` / :meth:`DiGraph.remove_edge` splice the
+  batch in with one ``O(n + m)`` memory copy and a binary search per
+  edited edge, never a per-edge Python loop over the graph;
+* a bulk build (the constructor, :meth:`DiGraph.from_edges`) sorts
+  one ``int64`` key ``u * n + v`` per edge and per direction.
+
 The similarity algorithms consume graphs through two views:
 
 * neighbour lists (``in_neighbors`` / ``out_neighbors``) for the
   node-at-a-time algorithms (naive SimRank, Algorithm 1 memoization);
-* sparse matrices built by :mod:`repro.graph.matrices` for the
-  vectorised iterations.
+* sparse matrices built by :mod:`repro.graph.matrices` straight from
+  the CSR arrays, for the vectorised iterations.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = ["DiGraph"]
+
+#: column ids are stored as int32, which bounds the node count
+_INDEX = np.int32
+_MAX_NODES = int(np.iinfo(_INDEX).max)
 
 
 class DiGraph:
@@ -28,11 +48,12 @@ class DiGraph:
     Parameters
     ----------
     num_nodes:
-        Number of nodes. Must be non-negative.
+        Number of nodes. Must be non-negative (and below ``2**31``).
     edges:
-        Optional iterable of ``(u, v)`` pairs meaning an edge ``u -> v``.
-        Duplicates collapse silently; self-loops are allowed (cycles are
-        permitted by the paper's path definition).
+        Optional ``(u, v)`` pairs meaning an edge ``u -> v`` — any
+        iterable of integer pairs or an ``(m, 2)`` integer array.
+        Duplicates collapse silently; self-loops are allowed (cycles
+        are permitted by the paper's path definition).
     labels:
         Optional sequence of ``num_nodes`` distinct hashable labels.
 
@@ -48,28 +69,25 @@ class DiGraph:
     def __init__(
         self,
         num_nodes: int,
-        edges: Iterable[tuple[int, int]] = (),
+        edges: Iterable[tuple[int, int]] | np.ndarray = (),
         labels: Sequence | None = None,
     ) -> None:
         if num_nodes < 0:
             raise ValueError(f"num_nodes must be >= 0, got {num_nodes}")
+        if num_nodes > _MAX_NODES:
+            raise ValueError(
+                f"num_nodes must be <= {_MAX_NODES}, got {num_nodes}"
+            )
         self._n = int(num_nodes)
-        self._out: list[set[int]] = [set() for _ in range(self._n)]
-        self._in: list[set[int]] = [set() for _ in range(self._n)]
-        # copy-on-write bookkeeping: None means every adjacency set is
-        # privately owned; a set holds the indices this instance has
-        # re-materialised since the last `copy_with_edits` share
-        self._own_out: set[int] | None = None
-        self._own_in: set[int] | None = None
-        self._m = 0
         self._version = 0
-        self._edge_arrays_cache: tuple | None = None
         self._labels: list | None = None
         self._label_to_node: dict = {}
         if labels is not None:
-            self.set_labels(labels)
-        for u, v in edges:
-            self.add_edge(u, v)
+            self._assign_labels(labels)
+        pairs = _as_pairs(edges)
+        self._check_nodes(pairs)
+        n = self._n
+        self._set_out_keys(_unique_sorted(pairs[:, 0] * n + pairs[:, 1]))
 
     # ------------------------------------------------------------------
     # construction
@@ -77,20 +95,24 @@ class DiGraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         num_nodes: int | None = None,
         labels: Sequence | None = None,
     ) -> "DiGraph":
         """Build a graph from integer edge pairs.
 
         When ``num_nodes`` is omitted it is inferred as ``max id + 1``.
+        Float ids are truncated to integers, as ``int()`` would.
         """
-        edge_list = [(int(u), int(v)) for u, v in edges]
+        pairs = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges)
+        )
+        if pairs.dtype.kind == "f":
+            pairs = pairs.astype(np.int64)
+        pairs = _as_pairs(pairs)
         if num_nodes is None:
-            num_nodes = 1 + max(
-                (max(u, v) for u, v in edge_list), default=-1
-            )
-        return cls(num_nodes, edges=edge_list, labels=labels)
+            num_nodes = int(pairs.max()) + 1 if pairs.size else 0
+        return cls(num_nodes, edges=pairs, labels=labels)
 
     @classmethod
     def from_label_edges(cls, edges: Iterable[tuple]) -> "DiGraph":
@@ -116,49 +138,27 @@ class DiGraph:
         return cls(len(label_order), edges=int_edges, labels=label_order)
 
     def add_edge(self, u: int, v: int) -> None:
-        """Insert edge ``u -> v`` (no-op if it already exists)."""
-        self._check_node(u)
-        self._check_node(v)
-        if v not in self._out[u]:
-            # inline the copy-on-write check: ``_own_out is None``
-            # (this graph owns every set — the overwhelmingly common
-            # case, including bulk construction) must not pay a helper
-            # call per edge
-            if self._own_out is not None:
-                self._writable_out(u).add(v)
-                self._writable_in(v).add(u)
-            else:
-                self._out[u].add(v)
-                self._in[v].add(u)
-            self._m += 1
+        """Insert edge ``u -> v`` (no-op if it already exists).
+
+        Splices new arrays: ``O(n + m)``. Build a batch with the
+        constructor or :meth:`copy_with_edits` instead of a loop.
+        """
+        u, v = self._check_node(u), self._check_node(v)
+        if not self.has_edge(u, v):
+            self._splice(np.array([[u, v]]), _NO_PAIRS)
             self._version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``u -> v``; raises ``KeyError`` if absent."""
-        self._check_node(u)
-        self._check_node(v)
-        if v not in self._out[u]:
+        u, v = self._check_node(u), self._check_node(v)
+        if not self.has_edge(u, v):
             raise KeyError(f"edge {u} -> {v} not in graph")
-        if self._own_out is not None:
-            self._writable_out(u).remove(v)
-            self._writable_in(v).remove(u)
-        else:
-            self._out[u].remove(v)
-            self._in[v].remove(u)
-        self._m -= 1
+        self._splice(_NO_PAIRS, np.array([[u, v]]))
         self._version += 1
 
     def set_labels(self, labels: Sequence) -> None:
         """Attach one distinct hashable label per node."""
-        labels = list(labels)
-        if len(labels) != self._n:
-            raise ValueError(
-                f"expected {self._n} labels, got {len(labels)}"
-            )
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
-        self._labels = labels
-        self._label_to_node = {lab: i for i, lab in enumerate(labels)}
+        self._assign_labels(labels)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -172,13 +172,14 @@ class DiGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges ``m``."""
-        return self._m
+        return int(self._out_idx.size)
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter.
 
-        Increments on every mutation (``add_edge`` / ``remove_edge`` /
+        Starts at 0 when a graph is built (or copied) and increments on
+        every mutation (``add_edge`` / ``remove_edge`` /
         ``set_labels``), letting caching layers such as
         :class:`repro.engine.SimilarityEngine` detect that their
         precomputed artifacts describe an older graph — including
@@ -189,7 +190,7 @@ class DiGraph:
     @property
     def density(self) -> float:
         """Average degree ``m / n`` (the paper's Figure 5 density)."""
-        return self._m / self._n if self._n else 0.0
+        return self.num_edges / self._n if self._n else 0.0
 
     @property
     def labels(self) -> list | None:
@@ -202,77 +203,98 @@ class DiGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate edges as ``(u, v)`` pairs in sorted order."""
-        for u in range(self._n):
-            for v in sorted(self._out[u]):
-                yield (u, v)
+        heads, tails = self.edge_arrays()
+        return zip(heads.tolist(), tails.tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The edge list as ``(heads, tails)`` numpy index arrays.
 
         ``heads[i] -> tails[i]`` enumerates :meth:`edges` in the same
         sorted order, ready to drop into a COO constructor without a
-        per-edge Python loop. The arrays are read-only and cached until
-        the next mutation (keyed on :attr:`version`), so repeated
-        matrix builds over an unchanged graph pay for the traversal
-        once.
+        per-edge Python loop. Both are fresh read-only ``intp`` arrays
+        expanded from the out-view (``O(m)``, no Python loop).
         """
-        cache = self._edge_arrays_cache
-        if cache is not None and cache[0] == self._version:
-            return cache[1], cache[2]
-        counts = np.fromiter(
-            (len(s) for s in self._out), dtype=np.intp, count=self._n
+        heads = np.repeat(
+            np.arange(self._n, dtype=np.intp), np.diff(self._out_ptr)
         )
-        heads = np.repeat(np.arange(self._n, dtype=np.intp), counts)
-        tails = np.fromiter(
-            (v for s in self._out for v in sorted(s)),
-            dtype=np.intp,
-            count=self._m,
-        )
-        heads.flags.writeable = False
-        tails.flags.writeable = False
-        self._edge_arrays_cache = (self._version, heads, tails)
-        return heads, tails
+        return _frozen(heads), _frozen(self._out_idx.astype(np.intp))
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff edge ``u -> v`` exists."""
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._out[u]
+        u, v = self._check_node(u), self._check_node(v)
+        row = self._out_idx[self._out_ptr[u]:self._out_ptr[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < row.size and int(row[i]) == v
+
+    def has_edges(self, heads, tails) -> np.ndarray:
+        """Vectorised :meth:`has_edge`: a bool array, one per pair.
+
+        A binary search within each pair's row of the out-view;
+        ``heads`` and ``tails`` must be in-range node ids.
+
+        >>> DiGraph(3, edges=[(0, 1), (2, 0)]).has_edges([0, 0, 2], [1, 2, 0])
+        array([ True, False,  True])
+        """
+        heads = np.asarray(heads, dtype=np.int64).ravel()
+        tails = np.asarray(tails, dtype=np.int64).ravel()
+        return _find(self._out_ptr, self._out_idx, heads, tails)[1]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         """The in-neighbour set ``I(v)`` as a sorted tuple."""
-        self._check_node(v)
-        return tuple(sorted(self._in[v]))
+        v = self._check_node(v)
+        return tuple(
+            self._in_idx[self._in_ptr[v]:self._in_ptr[v + 1]].tolist()
+        )
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """The out-neighbour set ``O(v)`` as a sorted tuple."""
-        self._check_node(v)
-        return tuple(sorted(self._out[v]))
+        v = self._check_node(v)
+        return tuple(
+            self._out_idx[self._out_ptr[v]:self._out_ptr[v + 1]].tolist()
+        )
 
     def in_degree(self, v: int) -> int:
         """``|I(v)|``."""
-        self._check_node(v)
-        return len(self._in[v])
+        v = self._check_node(v)
+        return int(self._in_ptr[v + 1] - self._in_ptr[v])
 
     def out_degree(self, v: int) -> int:
         """``|O(v)|``."""
-        self._check_node(v)
-        return len(self._out[v])
+        v = self._check_node(v)
+        return int(self._out_ptr[v + 1] - self._out_ptr[v])
 
     def in_degrees(self) -> np.ndarray:
         """All in-degrees as an ``int64`` vector."""
-        return np.array([len(s) for s in self._in], dtype=np.int64)
+        return np.diff(self._in_ptr)
 
     def out_degrees(self) -> np.ndarray:
         """All out-degrees as an ``int64`` vector."""
-        return np.array([len(s) for s in self._out], dtype=np.int64)
+        return np.diff(self._out_ptr)
+
+    def csr_arrays(
+        self, direction: str = "out"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``(indptr, indices)`` of one CSR view.
+
+        ``direction="out"``: row ``u`` lists ``O(u)``; ``"in"``: row
+        ``v`` lists ``I(v)``. Rows are sorted; ``indptr`` is ``int64``
+        and ``indices`` ``int32``. These are the graph's own arrays,
+        shared, not copied.
+        """
+        if direction == "out":
+            return self._out_ptr, self._out_idx
+        if direction == "in":
+            return self._in_ptr, self._in_idx
+        raise ValueError(
+            f"direction must be 'out' or 'in', got {direction!r}"
+        )
 
     # ------------------------------------------------------------------
     # labels
     # ------------------------------------------------------------------
     def label_of(self, v: int):
         """Label of node ``v`` (the id itself when unlabelled)."""
-        self._check_node(v)
+        v = self._check_node(v)
         return self._labels[v] if self._labels is not None else v
 
     def node_of(self, label) -> int:
@@ -288,10 +310,11 @@ class DiGraph:
     # derived graphs
     # ------------------------------------------------------------------
     def reverse(self) -> "DiGraph":
-        """The graph with every edge direction flipped."""
-        rev = DiGraph(self._n, labels=self._labels)
-        for u, v in self.edges():
-            rev.add_edge(v, u)
+        """The graph with every edge direction flipped (``O(1)``: the
+        in- and out-views trade places)."""
+        rev = self._shallow_copy()
+        rev._out_ptr, rev._out_idx = self._in_ptr, self._in_idx
+        rev._in_ptr, rev._in_idx = self._out_ptr, self._out_idx
         return rev
 
     def to_undirected(self) -> "DiGraph":
@@ -301,15 +324,21 @@ class DiGraph:
         undirected edge is a pair of opposing directed edges, so all
         directed-graph algorithms apply unchanged.
         """
-        sym = DiGraph(self._n, labels=self._labels)
-        for u, v in self.edges():
-            sym.add_edge(u, v)
-            sym.add_edge(v, u)
+        heads, tails = self.edge_arrays()
+        n = self._n
+        sym = self._shallow_copy()
+        sym._set_out_keys(
+            _unique_sorted(
+                np.concatenate((heads * n + tails, tails * n + heads))
+            )
+        )
         return sym
 
     def copy(self) -> "DiGraph":
-        """An independent structural copy."""
-        return DiGraph(self._n, edges=self.edges(), labels=self._labels)
+        """An independent copy, ``O(1)``: the read-only arrays and the
+        label table are shared, and every later edit of either graph
+        builds new arrays for that graph alone."""
+        return self._shallow_copy()
 
     def copy_with_edits(
         self,
@@ -318,157 +347,54 @@ class DiGraph:
     ) -> "DiGraph":
         """An independent copy with an edge batch already applied.
 
-        Unlike ``copy()`` + per-edge ``add_edge`` / ``remove_edge`` —
-        which re-inserts every edge through a Python loop — this shares
-        the adjacency sets copy-on-write (both graphs re-materialise a
-        set only when they first mutate it, at ``O(degree)`` cost),
-        applies only the ``O(delta)`` edits, and splices the cached
-        :meth:`edge_arrays` with vectorised numpy surgery — the clone
-        never pays an ``O(m)`` traversal or copy.
+        Splices the batch into new arrays for the copy — a binary
+        search per edited edge within its row, then one ``O(n + m)``
+        memory copy per array — and leaves this graph untouched.
 
         ``added`` edges must be absent from this graph and ``removed``
         edges present (``ValueError`` / ``KeyError`` otherwise); the two
         batches must be disjoint. Duplicates within a batch collapse.
         """
-        add = {(int(u), int(v)) for u, v in added}
-        rem = {(int(u), int(v)) for u, v in removed}
-        overlap = add & rem
-        if overlap:
-            u, v = next(iter(overlap))
+        add = _unique_pairs(added)
+        rem = _unique_pairs(removed)
+        both = _first_common_row(add, rem)
+        if both is not None:
             raise ValueError(
-                f"edge {u} -> {v} appears in both added and removed"
+                f"edge {both[0]} -> {both[1]} appears in both added "
+                "and removed"
             )
-        n = self._n
-        # validate both batches in bulk: bounds via one comparison per
-        # batch, membership via searchsorted against the sorted edge
-        # keys — the keys are reused below to splice the edge arrays,
-        # so validation costs no extra O(m) pass
-        add_keys = rem_keys = None
-        keys = np.empty(0, dtype=np.int64)
-        if n:
-            heads, tails = self.edge_arrays()
-            keys = heads.astype(np.int64) * n + tails.astype(np.int64)
-
-        def _checked_keys(pairs: set, batch: str) -> np.ndarray:
-            flat = np.fromiter(
-                (x for uv in pairs for x in uv),
-                dtype=np.int64,
-                count=2 * len(pairs),
-            )
-            bad = flat[(flat < 0) | (flat >= n)]
-            if bad.size:
-                raise IndexError(
-                    f"node {int(bad[0])} out of range for graph "
-                    f"with {n} nodes"
-                )
-            pair_keys = flat[0::2] * n + flat[1::2]
-            pair_keys.sort()
-            pos = np.searchsorted(keys, pair_keys)
-            hit = np.zeros(pair_keys.size, dtype=bool)
-            in_range = pos < keys.size
-            hit[in_range] = keys[pos[in_range]] == pair_keys[in_range]
-            if batch == "added" and hit.any():
-                key = int(pair_keys[hit][0])
-                raise ValueError(
-                    f"edge {key // n} -> {key % n} already in graph"
-                )
-            if batch == "removed" and not hit.all():
-                key = int(pair_keys[~hit][0])
-                raise KeyError(
-                    f"edge {key // n} -> {key % n} not in graph"
-                )
-            return pair_keys
-
-        if add:
-            add_keys = _checked_keys(add, "added")
-        if rem:
-            rem_keys = _checked_keys(rem, "removed")
-
-        clone = DiGraph.__new__(DiGraph)
-        clone._n = self._n
-        # share the adjacency sets copy-on-write: after this point
-        # neither graph owns any set (a list of references is O(n)
-        # pointers, not O(m) elements); the first in-place mutation of
-        # a set on either side re-materialises just that set
-        clone._out = list(self._out)
-        clone._in = list(self._in)
-        if self._own_out is None:
-            self._own_out = set()
-            self._own_in = set()
-        else:
-            self._own_out.clear()
-            self._own_in.clear()
-        clone._own_out = set()
-        clone._own_in = set()
-        clone._m = self._m + len(add) - len(rem)
-        clone._version = 0
-        clone._labels = (
-            list(self._labels) if self._labels is not None else None
-        )
-        clone._label_to_node = dict(self._label_to_node)
-        own_out, out = clone._own_out, clone._out
-        own_in, inn = clone._own_in, clone._in
-        for u, v in add:
-            s = out[u]
-            if u not in own_out:
-                s = out[u] = set(s)
-                own_out.add(u)
-            s.add(v)
-            s = inn[v]
-            if v not in own_in:
-                s = inn[v] = set(s)
-                own_in.add(v)
-            s.add(u)
-        for u, v in rem:
-            s = out[u]
-            if u not in own_out:
-                s = out[u] = set(s)
-                own_out.add(u)
-            s.remove(v)
-            s = inn[v]
-            if v not in own_in:
-                s = inn[v] = set(s)
-                own_in.add(v)
-            s.remove(u)
-
-        # Splice the sorted (head, tail) arrays instead of re-deriving
-        # them: the validated keys encode pairs as head * n + tail
-        # (monotone in the edge sort order) — delete removed keys,
-        # insert added keys.
-        if n:
-            if rem_keys is not None:
-                keep = np.ones(keys.size, dtype=bool)
-                keep[np.searchsorted(keys, rem_keys)] = False
-                keys = keys[keep]
-            if add_keys is not None:
-                keys = np.insert(
-                    keys, np.searchsorted(keys, add_keys), add_keys
-                )
-            new_heads = (keys // n).astype(np.intp)
-            new_tails = (keys % n).astype(np.intp)
-        else:
-            new_heads = np.empty(0, dtype=np.intp)
-            new_tails = np.empty(0, dtype=np.intp)
-        new_heads.flags.writeable = False
-        new_tails.flags.writeable = False
-        clone._edge_arrays_cache = (clone._version, new_heads, new_tails)
+        self._check_nodes(add)
+        present = self.has_edges(add[:, 0], add[:, 1])
+        if present.any():
+            u, v = add[present][0]
+            raise ValueError(f"edge {u} -> {v} already in graph")
+        self._check_nodes(rem)
+        present = self.has_edges(rem[:, 0], rem[:, 1])
+        if not present.all():
+            u, v = rem[~present][0]
+            raise KeyError(f"edge {u} -> {v} not in graph")
+        clone = self._shallow_copy()
+        clone._splice(add, rem)
         return clone
 
     def is_symmetric(self) -> bool:
         """True iff every edge has its reverse (i.e. undirected)."""
-        return all(u in self._out[v] for u, v in self.edges())
+        return np.array_equal(self._out_ptr, self._in_ptr) and (
+            np.array_equal(self._out_idx, self._in_idx)
+        )
 
     def has_self_loops(self) -> bool:
         """True iff some node links to itself."""
-        return any(v in self._out[v] for v in range(self._n))
+        heads, tails = self.edge_arrays()
+        return bool((heads == tails).any())
 
     def sources(self) -> list[int]:
         """Nodes with no in-edges (``I(v) = {}``) — zero SimRank rows."""
-        return [v for v in range(self._n) if not self._in[v]]
+        return np.flatnonzero(self.in_degrees() == 0).tolist()
 
     def sinks(self) -> list[int]:
         """Nodes with no out-edges (``O(v) = {}``)."""
-        return [v for v in range(self._n) if not self._out[v]]
+        return np.flatnonzero(self.out_degrees() == 0).tolist()
 
     # ------------------------------------------------------------------
     # dunder
@@ -478,35 +404,188 @@ class DiGraph:
             return NotImplemented
         return (
             self._n == other._n
-            and self._out == other._out
             and self._labels == other._labels
+            and np.array_equal(self._out_ptr, other._out_ptr)
+            and np.array_equal(self._out_idx, other._out_idx)
         )
 
     def __hash__(self):  # mutable container
         raise TypeError("DiGraph is unhashable (mutable)")
 
     def __repr__(self) -> str:
-        return f"DiGraph(n={self._n}, m={self._m})"
+        return f"DiGraph(n={self._n}, m={self.num_edges})"
 
     # ------------------------------------------------------------------
     # internal
     # ------------------------------------------------------------------
-    def _check_node(self, v: int) -> None:
+    def _check_node(self, v) -> int:
+        v = operator.index(v)
         if not 0 <= v < self._n:
             raise IndexError(
                 f"node {v} out of range for graph with {self._n} nodes"
             )
+        return v
 
-    def _writable_out(self, u: int) -> set:
-        own = self._own_out
-        if own is not None and u not in own:
-            self._out[u] = set(self._out[u])
-            own.add(u)
-        return self._out[u]
+    def _check_nodes(self, pairs: np.ndarray) -> None:
+        """``_check_node`` over an ``(m, 2)`` batch, in edge order."""
+        flat = pairs.ravel()
+        bad = flat[(flat < 0) | (flat >= self._n)]
+        if bad.size:
+            raise IndexError(
+                f"node {int(bad[0])} out of range for graph "
+                f"with {self._n} nodes"
+            )
 
-    def _writable_in(self, v: int) -> set:
-        own = self._own_in
-        if own is not None and v not in own:
-            self._in[v] = set(self._in[v])
-            own.add(v)
-        return self._in[v]
+    def _assign_labels(self, labels: Sequence) -> None:
+        labels = list(labels)
+        if len(labels) != self._n:
+            raise ValueError(
+                f"expected {self._n} labels, got {len(labels)}"
+            )
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct")
+        self._labels = labels
+        self._label_to_node = {lab: i for i, lab in enumerate(labels)}
+
+    def _shallow_copy(self) -> "DiGraph":
+        """A version-0 graph sharing every array and the label table
+        (both are replaced, never written, by later edits)."""
+        clone = DiGraph.__new__(DiGraph)
+        clone.__dict__.update(self.__dict__)
+        clone._version = 0
+        return clone
+
+    def _set_out_keys(self, keys: np.ndarray) -> None:
+        """Build both views from the sorted unique keys ``u * n + v``."""
+        n = max(self._n, 1)
+        heads, tails = np.divmod(keys, n)
+        self._out_ptr, self._out_idx = _csr(heads, tails, self._n)
+        in_keys = tails * n + heads
+        in_keys.sort()
+        self._in_ptr, self._in_idx = _csr(*np.divmod(in_keys, n), self._n)
+
+    def _splice(self, add: np.ndarray, rem: np.ndarray) -> None:
+        """Replace both views by ones with ``rem`` deleted and ``add``
+        inserted (``add`` absent, ``rem`` present, both unique)."""
+        self._out_ptr, self._out_idx = _spliced(
+            self._out_ptr, self._out_idx, add, rem
+        )
+        self._in_ptr, self._in_idx = _spliced(
+            self._in_ptr, self._in_idx, add[:, ::-1], rem[:, ::-1]
+        )
+
+
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _as_pairs(edges) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` int64 array of ``(u, v)`` rows."""
+    pairs = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges)
+    )
+    if pairs.size == 0:
+        return _NO_PAIRS
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    if pairs.dtype.kind not in "biu":
+        raise TypeError(f"node ids must be integers, got {pairs.dtype}")
+    return pairs.astype(np.int64, copy=False)
+
+
+def _unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` as a sort plus a neighbour mask — many times
+    faster than ``np.unique`` on millions of int64 keys."""
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
+
+
+def _unique_pairs(edges) -> np.ndarray:
+    """An edit batch as unique ``(u, v)`` rows in ascending order."""
+    pairs = _as_pairs(edges)
+    return np.unique(pairs, axis=0) if pairs.shape[0] > 1 else pairs
+
+
+def _first_common_row(a: np.ndarray, b: np.ndarray):
+    """The smallest row of both unique row sets ``a`` and ``b``."""
+    if not (a.shape[0] and b.shape[0]):
+        return None
+    both = np.concatenate((a, b))
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    same = np.flatnonzero((both[1:] == both[:-1]).all(axis=1))
+    return tuple(both[same[0]].tolist()) if same.size else None
+
+
+def _csr(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, indices)`` of ``(row, col)`` pairs already
+    sorted by row, then column."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return _frozen(ptr), _frozen(cols.astype(_INDEX))
+
+
+def _find(
+    ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each ``(row, col)`` pair in a CSR view.
+
+    One binary search per pair over the keys ``row * n + col`` of just
+    the rows the pairs touch (sorted, because the rows are);
+    ``position`` is the insertion point when the pair is absent.
+    """
+    n = ptr.size - 1
+    touched = np.unique(rows)
+    first = ptr[touched]
+    count = ptr[touched + 1] - first
+    # the position of every entry of the touched rows, row after row
+    at = np.arange(count.sum()) + np.repeat(
+        first - np.cumsum(count) + count, count
+    )
+    keys = np.repeat(touched, count) * n + idx[at]
+    want = rows * n + cols
+    i = np.searchsorted(keys, want)
+    # the first entry at or after the pair, or a sentinel past every
+    # row: within the pair's row it is the position, otherwise the
+    # pair goes at the end of its row
+    later = np.append(keys, np.iinfo(np.int64).max)[i]
+    position = np.where(
+        later // max(n, 1) == rows, np.append(at, 0)[i], ptr[rows + 1]
+    )
+    return position, later == want
+
+
+def _spliced(
+    ptr: np.ndarray, idx: np.ndarray, add: np.ndarray, rem: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """New ``(indptr, indices)`` with the ``rem`` pairs deleted and the
+    ``add`` pairs inserted, every row still sorted."""
+    if not (add.shape[0] or rem.shape[0]):
+        return ptr, idx
+    n = ptr.size - 1
+    # equal insertion points keep the batch order: sort it like a row
+    add = add[np.lexsort((add[:, 1], add[:, 0]))]
+    both = np.concatenate((rem, add))
+    at = _find(ptr, idx, both[:, 0], both[:, 1])[0]
+    rem_at, add_at = np.sort(at[:rem.shape[0]]), at[rem.shape[0]:]
+    # every deleted entry in front of an insertion point shifts it left
+    add_at -= np.searchsorted(rem_at, add_at)
+    new_idx = np.insert(
+        np.delete(idx, rem_at), add_at, add[:, 1].astype(_INDEX)
+    )
+    shift = np.bincount(add[:, 0], minlength=n) - np.bincount(
+        rem[:, 0], minlength=n
+    )
+    new_ptr = ptr.copy()
+    new_ptr[1:] += np.cumsum(shift)
+    return _frozen(new_ptr), _frozen(new_idx)

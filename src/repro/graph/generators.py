@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, _unique_sorted
 
 __all__ = [
     "citation_dag",
@@ -94,9 +94,8 @@ def family_tree() -> DiGraph:
 
 def path_graph(num_nodes: int) -> DiGraph:
     """Directed path ``0 -> 1 -> ... -> n-1``."""
-    return DiGraph(
-        num_nodes, edges=[(i, i + 1) for i in range(num_nodes - 1)]
-    )
+    heads = np.arange(max(num_nodes - 1, 0))
+    return DiGraph(num_nodes, edges=np.column_stack((heads, heads + 1)))
 
 
 def two_ray_path(ray_length: int) -> DiGraph:
@@ -110,45 +109,35 @@ def two_ray_path(ray_length: int) -> DiGraph:
     """
     if ray_length < 1:
         raise ValueError("ray_length must be >= 1")
-    graph = DiGraph(2 * ray_length + 1)
-    graph.add_edge(0, 1)
-    graph.add_edge(0, ray_length + 1)
+    edges = [(0, 1), (0, ray_length + 1)]
     for i in range(1, ray_length):
-        graph.add_edge(i, i + 1)
-        graph.add_edge(ray_length + i, ray_length + i + 1)
-    return graph
+        edges += [(i, i + 1), (ray_length + i, ray_length + i + 1)]
+    return DiGraph(2 * ray_length + 1, edges=edges)
 
 
 def star_graph(num_nodes: int, inward: bool = False) -> DiGraph:
     """Star with hub ``0``; edges hub->leaf, or leaf->hub if ``inward``."""
-    if inward:
-        edges = [(i, 0) for i in range(1, num_nodes)]
-    else:
-        edges = [(0, i) for i in range(1, num_nodes)]
-    return DiGraph(num_nodes, edges=edges)
+    leaves = np.arange(1, max(num_nodes, 1))
+    hub = np.zeros_like(leaves)
+    pair = (leaves, hub) if inward else (hub, leaves)
+    return DiGraph(num_nodes, edges=np.column_stack(pair))
 
 
 def cycle_graph(num_nodes: int) -> DiGraph:
     """Directed cycle ``0 -> 1 -> ... -> n-1 -> 0``."""
     if num_nodes < 1:
         raise ValueError("cycle needs at least one node")
+    heads = np.arange(num_nodes)
     return DiGraph(
         num_nodes,
-        edges=[(i, (i + 1) % num_nodes) for i in range(num_nodes)],
+        edges=np.column_stack((heads, (heads + 1) % num_nodes)),
     )
 
 
 def complete_digraph(num_nodes: int) -> DiGraph:
     """All ordered pairs ``u != v``."""
-    return DiGraph(
-        num_nodes,
-        edges=[
-            (u, v)
-            for u in range(num_nodes)
-            for v in range(num_nodes)
-            if u != v
-        ],
-    )
+    mask = ~np.eye(num_nodes, dtype=bool)
+    return DiGraph(num_nodes, edges=np.argwhere(mask))
 
 
 def random_digraph(
@@ -166,29 +155,25 @@ def random_digraph(
             f"{num_nodes}-node simple digraph (max {max_edges})"
         )
     rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
     # Rejection sampling is fast while the graph is sparse; fall back to
     # an explicit shuffle when the requested density is extreme.
     if num_edges <= max_edges // 2:
-        while len(chosen) < num_edges:
-            need = num_edges - len(chosen)
+        chosen = np.empty(0, dtype=np.int64)  # sorted keys u * n + v
+        while chosen.size < num_edges:
+            need = num_edges - chosen.size
             us = rng.integers(0, num_nodes, size=2 * need + 8)
             vs = rng.integers(0, num_nodes, size=2 * need + 8)
-            for u, v in zip(us, vs):
-                if u != v:
-                    chosen.add((int(u), int(v)))
-                    if len(chosen) == num_edges:
-                        break
+            keys = (us * num_nodes + vs)[us != vs]
+            # the draws a pair-by-pair loop would keep before stopping
+            # at num_edges: first occurrences of unseen pairs, in order
+            fresh = keys[_first_unseen(keys, chosen)][:need]
+            chosen = np.sort(np.concatenate((chosen, fresh)))
+        edges = np.column_stack(np.divmod(chosen, max(num_nodes, 1)))
     else:
-        all_pairs = [
-            (u, v)
-            for u in range(num_nodes)
-            for v in range(num_nodes)
-            if u != v
-        ]
-        rng.shuffle(all_pairs)
-        chosen = set(all_pairs[:num_edges])
-    return DiGraph(num_nodes, edges=chosen)
+        edges = np.argwhere(~np.eye(num_nodes, dtype=bool))
+        rng.shuffle(edges)
+        edges = edges[:num_edges]
+    return DiGraph(num_nodes, edges=edges)
 
 
 def erdos_renyi(num_nodes: int, edge_prob: float, seed: int = 0) -> DiGraph:
@@ -198,10 +183,7 @@ def erdos_renyi(num_nodes: int, edge_prob: float, seed: int = 0) -> DiGraph:
     rng = np.random.default_rng(seed)
     mask = rng.random((num_nodes, num_nodes)) < edge_prob
     np.fill_diagonal(mask, False)
-    us, vs = np.nonzero(mask)
-    return DiGraph(
-        num_nodes, edges=zip(us.tolist(), vs.tolist())
-    )
+    return DiGraph(num_nodes, edges=np.argwhere(mask))
 
 
 def rmat(
@@ -233,23 +215,22 @@ def rmat(
         raise ValueError("quadrant probabilities must be a distribution")
     n = 1 << scale
     rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
+    chosen = np.empty(0, dtype=np.int64)  # sorted keys u * n + v
     attempts = 0
     max_attempts = 50 * num_edges + 1000
     probs = np.array([a, b, c, d])
-    while len(chosen) < num_edges and attempts < max_attempts:
-        batch = num_edges - len(chosen)
+    while chosen.size < num_edges and attempts < max_attempts:
+        batch = num_edges - chosen.size
         quadrants = rng.choice(4, size=(batch, scale), p=probs)
         row_bits = (quadrants >> 1) & 1  # quadrant 2,3 -> lower half
         col_bits = quadrants & 1  # quadrant 1,3 -> right half
         powers = 1 << np.arange(scale - 1, -1, -1)
         us = (row_bits * powers).sum(axis=1)
         vs = (col_bits * powers).sum(axis=1)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u != v:
-                chosen.add((u, v))
+        keys = (us * n + vs)[us != vs]
+        chosen = _unique_sorted(np.concatenate((chosen, keys)))
         attempts += batch
-    return DiGraph(n, edges=chosen)
+    return DiGraph(n, edges=np.column_stack(np.divmod(chosen, n)))
 
 
 def citation_dag(
@@ -270,8 +251,8 @@ def citation_dag(
     if num_nodes < 1:
         raise ValueError("need at least one node")
     rng = np.random.default_rng(seed)
-    graph = DiGraph(num_nodes)
     in_deg = np.zeros(num_nodes, dtype=np.float64)
+    edges = [np.empty((0, 2), dtype=np.int64)]
     for i in range(1, num_nodes):
         # Poisson out-degree keeps the average at avg_out_degree while
         # letting early (reference-poor) papers cite fewer works.
@@ -284,7 +265,19 @@ def citation_dag(
             targets = rng.choice(i, size=k, replace=False, p=weights)
         else:
             targets = rng.choice(i, size=k, replace=False)
-        for j in targets:
-            graph.add_edge(i, int(j))
-            in_deg[j] += 1.0
-    return graph
+        edges.append(np.column_stack((np.full(k, i), targets)))
+        in_deg[targets] += 1.0  # targets are distinct
+    return DiGraph(num_nodes, edges=np.concatenate(edges))
+
+
+def _first_unseen(keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct
+    key of ``keys`` that is absent from the sorted array ``seen``."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    pos = np.searchsorted(seen, ordered)
+    hit = pos < seen.size
+    hit[hit] = seen[pos[hit]] == ordered[hit]
+    return np.sort(order[first & ~hit])

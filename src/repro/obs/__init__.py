@@ -494,18 +494,19 @@ class Observability:
 
     @staticmethod
     def _canary_error_delta(service) -> float:
-        canary = getattr(service, "_last_canary", None)
+        canary = service.canary_status()
         if canary is None:
             return 0.0
-        return canary.error_rate("green") - canary.error_rate("blue")
+        rates = canary["error_rate"]
+        return rates["green"] - rates["blue"]
 
     @staticmethod
     def _canary_p95_ratio(service) -> float:
-        canary = getattr(service, "_last_canary", None)
+        canary = service.canary_status()
         if canary is None:
             return 0.0
-        blue = canary.p95("blue")
-        return canary.p95("green") / blue if blue else 0.0
+        p95 = canary["p95_ms"]
+        return p95["green"] / p95["blue"] if p95["blue"] else 0.0
 
     @staticmethod
     def _approx_samples(snapshots):

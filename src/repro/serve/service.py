@@ -240,7 +240,10 @@ class ServingService:
         self.canary_max_error_delta = float(canary_max_error_delta)
         self.canary_max_p95_ratio = float(canary_max_p95_ratio)
         self._canary_lock = threading.Lock()
-        self._last_canary = None
+        # the last decided canary's final describe() document; a live
+        # canary is broker.canary, and nothing else keeps a decided one
+        # (or the snapshots it holds) alive
+        self._canary_outcome: dict | None = None
         self.observability.bind_service(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -425,21 +428,31 @@ class ServingService:
                 max_p95_ratio=self.canary_max_p95_ratio,
             )
             canary.inject_green_fault = inject_green_fault
-            canary.on_promote = lambda: self.snapshots.promote_canary(
-                green
+
+            def settle(finish, snapshot) -> None:
+                finish(snapshot)
+                self._canary_outcome = canary.describe()
+                # the callbacks close over the canary: drop them so the
+                # decided canary is freed as soon as the broker lets go
+                canary.on_promote = canary.on_rollback = None
+
+            canary.on_promote = lambda: settle(
+                self.snapshots.promote_canary, green
             )
-            canary.on_rollback = lambda: self.snapshots.rollback_canary(
-                blue
+            canary.on_rollback = lambda: settle(
+                self.snapshots.rollback_canary, blue
             )
-            self._last_canary = canary
             self.broker.canary = canary
             return canary
 
     def canary_status(self) -> dict | None:
         """The most recent canary's :meth:`~repro.serve.guard.Canary.describe`
-        document (``None`` if no canary has ever been started)."""
-        canary = self._last_canary
-        return None if canary is None else canary.describe()
+        document (``None`` if no canary has ever been started): the live
+        one's, else the final document of the last decided one."""
+        canary = self.broker.canary
+        if canary is not None:
+            return canary.describe()
+        return self._canary_outcome
 
     def status(self) -> dict:
         """A JSON-ready status document (the ``/status`` endpoint).

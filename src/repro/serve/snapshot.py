@@ -2,8 +2,8 @@
 
 A :class:`Snapshot` pins one ``(graph copy, engine)`` pair for the
 lifetime of every query dispatched against it. Mutations never touch a
-live snapshot: :meth:`SnapshotManager.mutate` copies the current
-graph, applies the edits, builds (and warms) a fresh
+live snapshot: :meth:`SnapshotManager.mutate` splices the edits into
+a copy of the current graph, builds (and warms) a fresh
 :class:`~repro.engine.SimilarityEngine` on the copy, and only then
 swaps the ``current`` pointer — an atomic reference assignment under a
 lock. Queries that grabbed the old snapshot before the swap finish on
@@ -24,7 +24,6 @@ pointed at the same file share one page cache.
 
 from __future__ import annotations
 
-import gc
 import threading
 from collections import deque
 
@@ -414,23 +413,7 @@ class SnapshotManager:
         add = list(add)
         remove = list(remove)
         with self._build_lock:
-            # pause the cyclic collector for the build: the clone/
-            # splice allocates tens of thousands of small containers,
-            # and each allocation burst otherwise triggers full GC
-            # passes over the millions of tracked adjacency sets of
-            # every live generation — O(live graphs) work swamping the
-            # O(delta) build. Mutation creates no cycles; whatever
-            # garbage it drops is reclaimed by refcounting or the next
-            # natural collection.
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                fresh = self._mutate_locked(add, remove)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        return fresh
+            return self._mutate_locked(add, remove)
 
     def _mutate_locked(
         self, add: list, remove: list
@@ -455,7 +438,7 @@ class SnapshotManager:
                     f"{type(exc).__name__}: {exc}"
                 )
         if fresh is None:
-            fresh = self._mutate_full(base, add_ids, remove_ids)
+            fresh = self._mutate_full(base, eff_add, eff_rem)
         return fresh
 
     @staticmethod
@@ -507,23 +490,18 @@ class SnapshotManager:
         edge is a no-op, removing a just-added edge cancels the add,
         and removing an absent (or already-removed) edge raises
         ``KeyError`` exactly like :meth:`DiGraph.remove_edge`. All
-        membership checks run vectorised against the graph's cached
-        sorted edge arrays — no per-edge ``has_edge`` loop.
+        membership checks are one vectorised binary search per edge
+        within its row (:meth:`DiGraph.has_edges`): no per-edge
+        ``has_edge`` loop and no pass over all ``m`` edges.
         """
         n = graph.num_nodes
         add_arr = np.asarray(add_ids, dtype=np.int64).reshape(-1, 2)
         rem_arr = np.asarray(remove_ids, dtype=np.int64).reshape(-1, 2)
         if n == 0 or (add_arr.size == 0 and rem_arr.size == 0):
             return [], []
-        heads, tails = graph.edge_arrays()
-        keys = heads.astype(np.int64) * n + tails  # sorted ascending
 
-        def _present(candidates: np.ndarray) -> np.ndarray:
-            pos = np.searchsorted(keys, candidates)
-            pos_c = np.minimum(pos, max(0, keys.size - 1))
-            if keys.size == 0:
-                return np.zeros(candidates.size, dtype=bool)
-            return keys[pos_c] == candidates
+        def _present(keys: np.ndarray) -> np.ndarray:
+            return graph.has_edges(*np.divmod(keys, n))
 
         add_keys = np.unique(add_arr[:, 0] * n + add_arr[:, 1])
         added_keys = add_keys[~_present(add_keys)]
@@ -642,16 +620,12 @@ class SnapshotManager:
     def _mutate_full(
         self,
         base: Snapshot,
-        add_ids: list[tuple[int, int]],
-        remove_ids: list[tuple[int, int]],
+        eff_add: list[tuple[int, int]],
+        eff_rem: list[tuple[int, int]],
     ) -> Snapshot:
-        """The classic path: copy the graph, rebuild, hot-swap."""
+        """The classic path: edit a graph copy, rebuild, hot-swap."""
         t_build = perf_counter()
-        graph = base.graph.copy()
-        for u, v in add_ids:
-            graph.add_edge(u, v)
-        for u, v in remove_ids:
-            graph.remove_edge(u, v)
+        graph = base.graph.copy_with_edits(eff_add, eff_rem)
         engine = self._engine_for(graph)
         self._warm(engine)
         self.builds += 1
@@ -703,12 +677,10 @@ class SnapshotManager:
             add_ids = self._resolve_pairs(base.engine, add)
             remove_ids = self._resolve_pairs(base.engine, remove)
             # validate with mutate's exact all-or-nothing semantics
-            self._effective_edits(base.graph, add_ids, remove_ids)
-            graph = base.graph.copy()
-            for u, v in add_ids:
-                graph.add_edge(u, v)
-            for u, v in remove_ids:
-                graph.remove_edge(u, v)
+            eff_add, eff_rem = self._effective_edits(
+                base.graph, add_ids, remove_ids
+            )
+            graph = base.graph.copy_with_edits(eff_add, eff_rem)
             engine = self._engine_for(graph)
             self._warm(engine)
             self.builds += 1

@@ -197,10 +197,12 @@ class TestEdgeArrays:
         heads, tails = DiGraph(3).edge_arrays()
         assert heads.size == 0 and tails.size == 0
 
-    def test_cached_until_mutation(self):
+    def test_refreshed_after_mutation(self):
         g = DiGraph(4, edges=[(0, 1), (1, 2)])
         first = g.edge_arrays()
-        assert g.edge_arrays()[0] is first[0]  # version unchanged
+        assert all(
+            np.array_equal(a, b) for a, b in zip(g.edge_arrays(), first)
+        )
         g.add_edge(2, 3)
         heads, tails = g.edge_arrays()
         assert heads.size == 3
@@ -216,4 +218,4 @@ class TestEdgeArrays:
         except ValueError:
             pass
         else:  # pragma: no cover
-            raise AssertionError("cached edge array was writable")
+            raise AssertionError("edge array was writable")

@@ -632,6 +632,65 @@ class TestRankingSelection:
         )
         assert len(ranked) == 0
 
+    @staticmethod
+    def _random_case(rng):
+        """One seeded score vector from a shape that stresses the
+        cut-off: dense, tie-heavy (fewer than k non-zeros), NaN-laden
+        or with infinities."""
+        n = int(rng.integers(0, 40))
+        shape = rng.choice(["dense", "sparse", "ties", "nan", "inf"])
+        if shape == "dense":
+            scores = rng.random(n)
+        elif shape == "sparse":
+            scores = np.zeros(n)
+            hot = rng.choice(n, size=min(n, int(rng.integers(0, 4))),
+                             replace=False)
+            scores[hot] = rng.random(hot.size)
+        elif shape == "ties":
+            scores = rng.integers(0, 3, size=n) / 2.0
+            scores[rng.random(n) < 0.2] *= -1.0  # -0.0 ties 0.0
+        elif shape == "nan":
+            scores = rng.random(n)
+            scores[rng.random(n) < 0.4] = np.nan
+        else:
+            scores = rng.integers(0, 3, size=n).astype(float)
+            scores[rng.random(n) < 0.2] = np.inf
+            scores[rng.random(n) < 0.2] = -np.inf
+        k = int(rng.choice([0, 1, 3, 10, n, n + 5]))
+        exclude = set(
+            rng.integers(-3, n + 3, size=int(rng.integers(0, 5))).tolist()
+        )
+        return scores, int(rng.integers(0, n + 2)), k, exclude
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tie_chunk", [3, 16384])
+    def test_property_matches_lexsort_oracle(
+        self, seed, tie_chunk, monkeypatch
+    ):
+        from repro.engine import results
+
+        # a small chunk makes the tie scan cross chunk boundaries
+        monkeypatch.setattr(results, "_TIE_CHUNK", tie_chunk)
+        rng = np.random.default_rng([seed, 2024])
+        for _ in range(400):
+            scores, query, k, exclude = self._random_case(rng)
+            include_query = bool(rng.integers(0, 2))
+            ranked = Ranking.from_scores(
+                scores, query=query, k=k, include_query=include_query,
+                exclude=exclude,
+            )
+            skip = {x for x in exclude if 0 <= x < len(scores)}
+            if not include_query:
+                skip.add(query)
+            ids = np.array(
+                [i for i in range(len(scores)) if i not in skip],
+                dtype=np.intp,
+            )
+            want = ids[np.lexsort((ids, -scores[ids]))][:k]
+            assert ranked.nodes == want.tolist()
+            got = np.array(ranked.scores, dtype=np.float64)
+            assert got.tobytes() == scores[want].tobytes()
+
     def test_nan_scores_rank_last_not_dropped(self):
         # a NaN at the cut-off must not wipe the finite answers
         scores = np.array([0.5, np.nan, np.nan, 0.3, 0.1])

@@ -361,6 +361,63 @@ class TestCanaryLocal:
         assert document["counts"]["green"] == {"ok": 0, "errors": 0}
 
 
+class TestCanaryRetention:
+    def test_decided_canaries_release_their_snapshots(self):
+        """A decided canary leaves only its final document behind: the
+        snapshots it held (a promoted canary's blue, a rolled-back
+        canary's green) must not outlive it."""
+        import gc
+        import weakref
+
+        service = make_service(
+            graph=figure1_citation_graph(),
+            num_iterations=8,
+            cache_entries=0,
+            canary_min_requests=4,
+        )
+
+        def bad_green():
+            raise RuntimeError("forced bad green")
+
+        async def decide(canary):
+            for _ in range(80):
+                try:
+                    await service.top_k("h", k=3)
+                except RuntimeError:
+                    pass
+                if canary.outcome:
+                    break
+            await asyncio.sleep(0.2)
+            return canary.outcome
+
+        async def main():
+            async with service:
+                old = [weakref.ref(service.snapshots.current.engine)]
+                canary = service.mutate_canary(
+                    add=[("a", "h")], fraction=0.5
+                )
+                outcomes = [await decide(canary)]
+                canary = service.mutate_canary(
+                    add=[("b", "h")],
+                    fraction=0.5,
+                    inject_green_fault=bad_green,
+                )
+                old.append(weakref.ref(canary.green.engine))
+                outcomes.append(await decide(canary))
+                del canary
+                old.append(weakref.ref(service.snapshots.current.engine))
+                service.mutate(add=[("c", "h")])
+                return old, outcomes
+
+        old, outcomes = run(main())
+        assert outcomes == ["promote", "rollback"]
+        gc.collect()
+        assert [ref() for ref in old] == [None, None, None]
+        document = service.canary_status()
+        assert document["outcome"] == "rollback"
+        assert document["counts"]["green"]["errors"] >= 1
+
+
 class TestCanaryWithWorkers:
     def test_promotion_keeps_the_workers_canary_engines(self):
         """A promoted canary keeps serving from green's own engine, so

@@ -76,6 +76,17 @@ class TestBuild:
             "d500e2545fca43c5dcb94d0c0d29a9301e6b03f5061f0c065b9797b216939412"
         )
 
+    def test_scale_free_fingerprint_is_pinned(self):
+        # the generator and the graph's edge order feed every persisted
+        # sf-approx index: neither may move
+        from repro.datasets import scale_free_graph
+
+        fingerprint = graph_fingerprint(scale_free_graph(3000, seed=1))
+        assert fingerprint["num_edges"] == 23484
+        assert fingerprint["digest"] == (
+            "75403a589b7bf056cf59f61dd52426956abec931692098298726ac417b782242"
+        )
+
     def test_fingerprint_from_transition_matches(self):
         from repro.graph.matrices import backward_transition_matrix
         from repro.index.delta import _fingerprint_from_qt
