@@ -12,7 +12,7 @@ per-query cost that scales with the *sample budget* instead:
   edge edit touches some of its walks;
 * :class:`ApproxEstimator` — combines walk-endpoint meeting counts
   with the engine's series-coefficient table into single-source
-  columns and early-terminating top-k rankings;
+  columns;
 * the ``epsilon -> samples`` policy (:func:`samples_for_epsilon`,
   :func:`approx_params`) shared by the engine, the index builder and
   the CLIs.

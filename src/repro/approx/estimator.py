@@ -31,11 +31,7 @@ asymmetrically (the SLING-style near/far split):
   the coefficient-merged query-side weight.
 
 Per query the cost is ``O(support * samples)`` gathered walk entries,
-independent of ``n``; :meth:`ApproxEstimator.topk_scores` additionally
-stops walking levels once the running top-``k`` set is provably
-stable (the remaining levels' total weight cannot reorder the
-``k``/``k+1`` boundary) — the confidence-bound early termination the
-serving tier reports as ``early_terminations``.
+independent of ``n``.
 """
 
 from __future__ import annotations
@@ -70,11 +66,9 @@ class ApproxStats:
     """Counters for the approx tier (surfaced via ``/status``).
 
     ``samples_drawn`` counts walk-index entries actually gathered —
-    the estimator's unit of work; ``early_terminations`` counts
-    top-k queries that stopped before exhausting the walk levels;
-    ``support_truncations`` counts query-side vectors clipped to
-    ``support_cap`` (a non-zero value means ``epsilon`` is doing real
-    work on this graph).
+    the estimator's unit of work; ``support_truncations`` counts
+    query-side vectors clipped to ``support_cap`` (a non-zero value
+    means ``epsilon`` is doing real work on this graph).
 
     Examples
     --------
@@ -85,9 +79,7 @@ class ApproxStats:
     """
 
     columns: int = 0
-    topk_queries: int = 0
     samples_drawn: int = 0
-    early_terminations: int = 0
     support_truncations: int = 0
 
     def snapshot(self) -> dict:
@@ -418,8 +410,7 @@ class ApproxEstimator:
         """The estimated score column of ``query`` (dense ``(n,)``).
 
         Entry ``u`` estimates ``S[u, query]`` under the engine's
-        truncated series. All walk levels are consumed — no early
-        termination — so the result is reusable as a memoized column.
+        truncated series, from every walk level.
         """
         tally = ApproxStats(columns=1)
         union, weights = self._merged_weights(
@@ -440,69 +431,6 @@ class ApproxEstimator:
             self._flush(acc, pending)
         self._record(tally)
         return acc
-
-    def topk_scores(self, query: int, k: int) -> np.ndarray:
-        """A score column good enough to rank ``query``'s top ``k``.
-
-        Identical to :meth:`column` except that the sampled walk
-        levels are consumed in ascending order and the sweep stops as
-        soon as the gap between the current ``k``-th and ``(k+1)``-th
-        best scores exceeds the total weight the remaining levels
-        could still move — at that point no remaining evidence can
-        change which ``k`` nodes win. Scores outside the stable
-        top-``k`` set may be partial.
-        """
-        tally = ApproxStats(topk_queries=1)
-        union, weights = self._merged_weights(
-            self._query_side(int(query), tally)
-        )
-        acc = np.zeros(self._n, dtype=self.dtype)
-        if not union.size:
-            self._record(tally)
-            return acc
-        level_caps = weights.max(axis=0)
-        level_entries = np.diff(self.walks.level_offsets)
-        acc[union] += weights[:, 0].astype(self.dtype)
-        pending = []
-        if weights.shape[1] > 1:
-            pending.append(
-                self._gather_level_one(union, weights[:, 1], tally)
-            )
-        for alpha in range(_FIRST_SAMPLED_LEVEL, weights.shape[1]):
-            # everything level alpha and beyond could still add,
-            # per candidate: sum over r of count * m(endpoint) /
-            # samples <= max m. The O(n) stability partition is only
-            # worth its price when the levels it could skip hold
-            # several accumulator scans' worth of bucket entries, so
-            # cheap tail levels (walks die fast on DAGs) are just
-            # played out — and checking forces a flush first.
-            remaining = float(level_caps[alpha:].sum())
-            skippable = int(level_entries[alpha - 1:].sum())
-            if (
-                alpha > _FIRST_SAMPLED_LEVEL
-                and remaining > 0.0
-                and skippable >= 3 * acc.size
-            ):
-                self._flush(acc, pending)
-                if self._topk_stable(acc, k, remaining):
-                    tally.early_terminations += 1
-                    break
-            pending.append(self._gather_level(
-                alpha, union, weights[:, alpha], tally
-            ))
-        self._flush(acc, pending)
-        self._record(tally)
-        return acc
-
-    def _topk_stable(
-        self, acc: np.ndarray, k: int, remaining: float
-    ) -> bool:
-        if acc.size <= k:
-            return False
-        # k+1 largest of the dense accumulator, ascending; one O(n)
-        # partition beats bookkeeping the ever-growing touched set
-        top = np.partition(acc, acc.size - k - 1)[-(k + 1):]
-        return bool(top[1] - top[0] > remaining)
 
     def __repr__(self) -> str:
         return (

@@ -21,9 +21,13 @@ Two parts:
   respawn-and-retry.
 
 Each shard is answered by :func:`run_tasks` (defined in
-:mod:`repro.engine.results`). ``workers=0`` is a one-worker router
-whose single shard runs on the broker's executor thread, so every
-worker count takes the same path.
+:mod:`repro.engine.results`). ``ServingService(workers=0)`` starts one
+worker per core the process may run on; every worker count takes the
+same path, and a batch that fits in one shard runs on the broker's
+executor thread. While a pool runs, OpenBLAS is capped at
+``max(1, cores // workers)`` threads (:mod:`repro.cluster.blas`), so
+the workers' BLAS calls never ask for more threads than there are
+cores.
 
 Wired into the serving layer as ``ServingService(graph, workers=K)``
 and ``python -m repro.serve serve --workers K``; scaling is measured

@@ -22,6 +22,9 @@ its counters and its chaos flags:
 They drive the router's breaker, respawn-and-retry and fallback
 paths. A thread cannot be killed, so nothing bounds a kernel call
 that genuinely hangs.
+
+A started pool caps every loaded OpenBLAS at ``max(1, cores // lanes)``
+threads until it stops (:mod:`repro.cluster.blas`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import threading
 from time import perf_counter, sleep
 
+from repro.cluster.blas import BLAS
 from repro.engine.results import run_tasks
 
 __all__ = ["ClusterError", "ThreadWorkerPool", "WorkerCrash"]
@@ -103,21 +107,26 @@ class ThreadWorkerPool:
         self.size = int(workers)
         self.shard_timeout = float(shard_timeout)
         self._workers: list[_Lane] = []
+        self._blas_cap: int | None = None
         self.started = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Create the lanes."""
+        """Create the lanes and cap OpenBLAS at ``cores // lanes``."""
         if self.started:
             raise ClusterError("pool already started")
         self._workers = [_Lane(i) for i in range(self.size)]
+        self._blas_cap = BLAS.acquire(self.size)
         self.started = True
 
     def stop(self) -> None:
-        """Stop taking shards (idempotent)."""
+        """Stop taking shards and give back the BLAS cap (idempotent)."""
         self.started = False
+        cap, self._blas_cap = self._blas_cap, None
+        if cap is not None:
+            BLAS.release(cap)
 
     def respawn(self, worker_index: int) -> None:
         """Heal one lane: clear its crash and chaos flags."""
@@ -243,11 +252,16 @@ class ThreadWorkerPool:
         ]
 
     def describe(self) -> dict:
-        """JSON-ready pool state (the ``/status`` ``pool`` section)."""
+        """JSON-ready pool state (the ``/status`` ``pool`` section).
+
+        ``blas_threads`` is the OpenBLAS thread count in effect
+        (``None`` where no OpenBLAS is loaded).
+        """
         return {
             "workers": self.size,
             "started": self.started,
             "respawns": sum(lane.respawns for lane in self._workers),
+            "blas_threads": BLAS.threads(),
         }
 
     def __repr__(self) -> str:

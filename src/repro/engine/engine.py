@@ -478,7 +478,7 @@ class SimilarityEngine:
 
         Reports the resolved walk geometry, the walk index's byte
         size (0 until built/adopted), and the estimator's counters —
-        samples drawn, early terminations, support truncations.
+        columns, samples drawn, support truncations.
         """
         if self._config.mode != "approx":
             return None
@@ -750,27 +750,11 @@ class SimilarityEngine:
 
         ``exclude`` drops specific nodes (ids or labels) from the
         ranking — e.g. a recommender excluding already-linked nodes.
-
-        In approx mode an uncached query is answered by the
-        estimator's early-terminating top-k sweep
-        (:meth:`~repro.approx.ApproxEstimator.topk_scores`) — cost
-        bounded by the sample budget, never ``O(n)`` — and the
-        partial score column is *not* memoized; a column already
-        memoized by :meth:`columns` / :meth:`score` is reused as-is.
+        The query's column comes from :meth:`columns`, memoized, in
+        every mode.
         """
-        self._check_stale()
         q = self._resolve(query)
-        if self._config.mode == "approx":
-            with self._lock:
-                scores = self._caches.columns.get(q)
-                if scores is not None:
-                    self.stats.hits += 1
-                else:
-                    self.stats.misses += 1
-            if scores is None:
-                scores = self._approx_estimator.topk_scores(q, k)
-        else:
-            scores = self.single_source(q)
+        scores = self.single_source(q)
         return Ranking.from_scores(
             scores,
             query=q,

@@ -415,12 +415,6 @@ class Observability:
             "estimator (empty unless mode=approx).",
             lambda: self._approx_samples(snapshots),
         )
-        registry.counter_fn(
-            "repro_approx_early_stops_total",
-            "Approx top-k confidence-bound early terminations "
-            "(empty unless mode=approx).",
-            lambda: self._approx_early_stops(snapshots),
-        )
         router = service.cluster
         for field, help_text in (
             ("batches_routed", "Micro-batches routed to shards."),
@@ -514,15 +508,6 @@ class Observability:
         if not status:
             return []
         return [({}, status["estimator"].get("samples_drawn", 0))]
-
-    @staticmethod
-    def _approx_early_stops(snapshots):
-        status = snapshots.current.engine.approx_status()
-        if not status:
-            return []
-        return [
-            ({}, status["estimator"].get("early_terminations", 0))
-        ]
 
     # ------------------------------------------------------------------
     # exposition

@@ -92,8 +92,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=0,
         help="worker threads answering shards of each batch from "
-        "the snapshot's one engine (repro.cluster); 0 (default) acts "
-        "as 1: the single shard runs on the broker's executor thread",
+        "the snapshot's one engine (repro.cluster); 0 (default) "
+        "starts one per core. OpenBLAS is capped at cores // workers "
+        "threads (at least 1) while they run",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=120.0,
@@ -394,13 +395,10 @@ def _cmd_serve(args) -> int:
         service, host=args.host, port=args.port, verbose=args.verbose
     )
     snapshot = service.snapshots.current
-    mode = (
-        f"{args.workers} worker threads" if args.workers
-        else "in-process"
-    )
     print(
         f"serving {snapshot.graph!r} measure={args.measure} "
-        f"({mode}) on {server.url}  (Ctrl-C to stop)",
+        f"({service.cluster.pool.size} worker threads) on "
+        f"{server.url}  (Ctrl-C to stop)",
         flush=True,
     )
     try:
@@ -480,8 +478,7 @@ def render_status(document: dict) -> str:
             f"walks={approx.get('walk_length')}x"
             f"{approx.get('samples_per_node')} "
             f"index_bytes={approx.get('index_bytes', 0)} "
-            f"samples_drawn={estimator.get('samples_drawn', 0)} "
-            f"early_term={estimator.get('early_terminations', 0)}"
+            f"samples_drawn={estimator.get('samples_drawn', 0)}"
         )
     delta = snapshots.get("delta", {})
     lines.append(
@@ -528,6 +525,7 @@ def render_status(document: dict) -> str:
         lines.append(
             f"cluster       workers={pool.get('workers', 0)} "
             f"(alive={alive}) "
+            f"blas_threads={pool.get('blas_threads')} "
             f"shards={cluster.get('shards_dispatched', 0)} "
             f"retries={cluster.get('shard_retries', 0)} "
             f"respawns={pool.get('respawns', 0)}"
@@ -651,10 +649,7 @@ def _cmd_smoke(args) -> int:
     print(
         f"smoke: {args.clients} clients x "
         f"{args.requests_per_client} requests against {url} "
-        + (
-            f"({args.workers} worker threads)" if args.workers
-            else "(in-process)"
-        ),
+        f"({service.cluster.pool.size} worker threads)",
         flush=True,
     )
 
@@ -860,7 +855,7 @@ def _cmd_chaos(args) -> int:
     from repro.serve.chaos import run_drill
 
     print(
-        f"chaos drill: {args.workers} worker threads, "
+        f"chaos drill: --workers {args.workers}, "
         f"{args.clients} clients x {args.requests_per_client} "
         "requests per wave (kill / hang / corrupt / bad green)",
         flush=True,

@@ -72,10 +72,13 @@ class ServingService:
         :class:`~repro.cluster.ThreadWorkerPool`. Every shard answers
         from the engine of the snapshot its batch read — one engine
         and one column memo per snapshot, whatever the count — so a
-        mutation is just the snapshot swap. ``0`` (default) behaves
-        like ``1``: one worker, whose single shard runs on the
-        broker's executor thread. A crashed worker is respawned and
-        its shard retried, never dropped.
+        mutation is just the snapshot swap. ``0`` (default) starts
+        one worker per core the process may run on. While the
+        workers run, OpenBLAS is capped at ``max(1, cores //
+        workers)`` threads, so the workers' BLAS calls never ask for
+        more threads than there are cores. A batch that fits in one
+        shard runs on the broker's executor thread. A crashed worker
+        is respawned and its shard retried, never dropped.
     backend:
         ``"thread"`` (default), the only worker backend. ``"process"``
         is still accepted with ``workers=0``, where it changes
@@ -216,10 +219,12 @@ class ServingService:
                 "backend='thread' (the default) with workers >= 1"
             )
         from repro.cluster import ShardRouter, ThreadWorkerPool
+        from repro.cluster.blas import usable_cores
 
         self.cluster = ShardRouter(
             ThreadWorkerPool(
-                workers=max(1, workers), shard_timeout=shard_timeout
+                workers=workers or usable_cores(),
+                shard_timeout=shard_timeout,
             ),
             obs=self.observability,
             breaker_threshold=breaker_threshold,
@@ -465,8 +470,8 @@ class ServingService:
         vs. index adoptions, column memo hits / misses / evictions),
         and ``snapshots`` the hot-swap and persistent-index counters.
         In approx mode an ``approx`` section adds the Monte-Carlo
-        tier's walk geometry and estimator counters (samples drawn,
-        early terminations, walk-index bytes).
+        tier's walk geometry and estimator counters (columns, samples
+        drawn, support truncations, walk-index bytes).
         """
         engine = self.snapshots.current.engine
         return {

@@ -292,9 +292,8 @@ def test_engine_routes_topk_and_batch_through_estimator():
     status = engine.approx_status()
     assert status["walk_length"] == engine.walk_index.walk_length
     stats = status["estimator"]
-    # the serving paths may answer from memoized estimator columns,
-    # so count total estimator work rather than one specific entry
-    assert stats["topk_queries"] + stats["columns"] >= 2
+    # top_k and batch_top_k both answer from estimator columns
+    assert stats["columns"] >= 2
 
 
 def test_approx_engine_answers_on_edgeless_graph():
@@ -458,7 +457,7 @@ def test_serve_status_reports_approx_section():
         assert approx["walk_length"] >= 1
         assert approx["index_bytes"] > 0
         stats = approx["estimator"]
-        assert stats["topk_queries"] + stats["columns"] >= 1
+        assert stats["columns"] >= 1
     finally:
         service.close()
 

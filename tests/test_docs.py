@@ -69,6 +69,7 @@ DOCTEST_MODULES = (
     "repro.serve.snapshot",
     "repro.cluster.router",
     "repro.cluster.thread_pool",
+    "repro.cluster.blas",
     "repro.cluster",
     "repro.approx",
     "repro.approx.walks",

@@ -19,6 +19,7 @@ from repro.cluster import (
     ThreadWorkerPool,
     run_tasks,
 )
+from repro.cluster.blas import usable_cores
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph import DiGraph
 from repro.graph.generators import random_digraph
@@ -232,8 +233,8 @@ class TestThreadBackend:
         service = ServingService(
             graph, CONFIG, workers=0, backend="process"
         )
-        # workers=0 is a one-worker router, like workers=1
-        assert service.cluster.pool.size == 1
+        # workers=0 starts one thread lane per usable core
+        assert service.cluster.pool.size == usable_cores()
         service.start_background()
         try:
             assert len(service.top_k_sync(0, k=3)) == 3
