@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.overlay import _splice_ranges
+from repro.core.splice import _splice_ranges
 
 __all__ = ["WalkIndex"]
 

@@ -29,8 +29,8 @@ document under ``"approx"``, copies ``speedup_approx_vs_exact`` into
 the gated derived speedups, and exits non-zero when precision@k falls
 below its floor. ``--mutate`` runs the delta-vs-rebuild mutation
 comparison (:mod:`repro.bench.mutate`): identical seeded 1%-of-edges
-batch swaps pushed through a ``delta_mode="off"`` and a
-``delta_mode="auto"`` :class:`~repro.serve.SnapshotManager`, with the
+batch swaps pushed through a ``max_delta_fraction=0`` and a
+default :class:`~repro.serve.SnapshotManager`, with the
 median-swap ratio recorded as ``speedup_delta_swap_vs_rebuild`` and
 bit-parity between the two maintenance histories gated. ``--history``
 renders the trend table over every committed ``BENCH_*.json`` in the
@@ -370,8 +370,8 @@ def list_cases(args, preset: dict) -> int:
     print(
         "  mutate_compare  "
         f"[scale-free graph at {args.mutate_nodes or mutate['nodes']} "
-        "nodes, identical 1%-of-edges batch swaps: delta_mode=auto "
-        "vs delta_mode=off SnapshotManager, bit-parity gated]"
+        "nodes, identical 1%-of-edges batch swaps: delta-maintained "
+        "vs rebuild-maintained SnapshotManager, bit-parity gated]"
     )
     return 0
 

@@ -6,11 +6,11 @@ edges must not pay a full ``Q`` / ``Q^T`` / factor rebuild. This
 module measures exactly that trade on one seeded scale-free graph
 (:func:`repro.datasets.scale_free_graph`): two
 :class:`~repro.serve.SnapshotManager` instances serve the same graph —
-one with ``delta_mode="off"`` (the classic rebuild-every-swap path),
-one with ``delta_mode="auto"`` — and the *identical* seeded batch
-sequence (1% of edges swapped out per mutation) is pushed through
-both. Per-mutation wall time is the whole ``mutate()`` call: edit
-application, artifact work, warmup, and the pointer swap.
+one with ``max_delta_fraction=0`` (the classic rebuild-every-swap
+path), one with the default delta budget — and the *identical* seeded
+batch sequence (1% of edges swapped out per mutation) is pushed
+through both. Per-mutation wall time is the whole ``mutate()`` call:
+edit application, artifact work, warmup, and the pointer swap.
 
 The derived ``speedup_delta_swap_vs_rebuild`` is the ratio of the two
 medians, and the document also records a bit-parity check: after the
@@ -144,10 +144,12 @@ def run_mutate_compare(
     for name in ("delta", "rebuild"):
         gc.collect()
         if name == "rebuild":
-            manager = SnapshotManager(graph, delta_mode="off", **config)
+            manager = SnapshotManager(
+                graph, max_delta_fraction=0, **config
+            )
         else:
             manager = SnapshotManager(
-                graph, delta_mode="auto",
+                graph,
                 # the sequence must never fold mid-run: the benchmark
                 # times the delta path itself, not the chain policy
                 # (batches + warm-up mutation, plus headroom)

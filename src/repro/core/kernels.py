@@ -51,32 +51,7 @@ def spmm(
 
     ``dense`` and ``out`` must be distinct C-contiguous 2-D arrays of
     the sparse operand's dtype. Returns ``out``.
-
-    A :class:`repro.core.overlay.CsrOverlay` operand dispatches to its
-    own ``spmm_into`` (base product + patched-row fixup, bit-identical
-    to the compacted matrix); overlays only support the non-accumulate
-    form.
     """
-    if hasattr(matrix, "spmm_into"):
-        if accumulate:
-            raise TypeError(
-                "CSR overlays do not support accumulate=True; "
-                "compact with .tocsr() first"
-            )
-        n_row, n_col = matrix.shape
-        if dense.ndim != 2 or out.ndim != 2:
-            raise ValueError("spmm operates on 2-D dense blocks")
-        if dense.shape[0] != n_col or out.shape != (
-            n_row,
-            dense.shape[1],
-        ):
-            raise ValueError(
-                f"shape mismatch: {matrix.shape} @ {dense.shape} "
-                f"-> {out.shape}"
-            )
-        if out is dense or np.shares_memory(out, dense):
-            raise ValueError("out must not alias the dense operand")
-        return matrix.spmm_into(dense, out)
     _as_csr(matrix)
     n_row, n_col = matrix.shape
     if dense.ndim != 2 or out.ndim != 2:

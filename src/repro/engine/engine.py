@@ -42,7 +42,6 @@ from repro.approx.walks import WalkIndex
 from repro.bigraph.compressed import CompressedGraph
 from repro.core.multi_source import multi_source as _series_block
 from repro.core.multi_source import series_coefficients
-from repro.core.overlay import CsrOverlay
 from repro.core.weights import (
     ExponentialWeights,
     GeometricWeights,
@@ -431,11 +430,8 @@ class SimilarityEngine:
                         walk_length, samples = approx_params(
                             self.truncation, self._config.epsilon
                         )
-                        q = self.transition
-                        if isinstance(q, CsrOverlay):
-                            q = q.tocsr()
                         self._caches.walks = WalkIndex.build(
-                            q,
+                            self.transition,
                             walk_length=walk_length,
                             samples=samples,
                             seed=self._config.seed,
@@ -458,13 +454,9 @@ class SimilarityEngine:
                             self.truncation, self._weight_scheme()
                         )
                     )
-                    q = self.transition
-                    if isinstance(q, CsrOverlay):
-                        # the estimator walks raw CSR buffers
-                        q = q.tocsr()
                     self._caches.estimator = ApproxEstimator(
                         self.walk_index,
-                        q,
+                        self.transition,
                         self.transition_t,
                         coefficients,
                         self.truncation,
@@ -817,12 +809,7 @@ class SimilarityEngine:
     def _build_matrix(self) -> ScoreMatrix:
         kwargs = {}
         if "transition" in self._spec.uses:
-            q = self.transition
-            if isinstance(q, CsrOverlay):
-                # measure callables expect a real scipy CSR; the
-                # overlay only serves the spmm-based column kernels
-                q = q.tocsr()
-            kwargs["transition"] = q
+            kwargs["transition"] = self.transition
         if "compressed" in self._spec.uses:
             kwargs["compressed"] = self.compressed
         if "dtype" in self._spec.uses:

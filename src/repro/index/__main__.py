@@ -322,7 +322,7 @@ def _cmd_compact(args) -> int:
         print("error: no segment applied cleanly", file=sys.stderr)
         return 1
     out = Path(args.output) if args.output else path
-    index.save(out)  # compacts any overlay, writes atomically
+    index.save(out)  # writes atomically
     elapsed = time.perf_counter() - start
     if out == path and not args.keep_deltas:
         for segment in applied_paths:

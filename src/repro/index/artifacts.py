@@ -614,34 +614,11 @@ class SimilarityIndex:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def compacted(self) -> "SimilarityIndex":
-        """This index with any CSR overlay folded to a clean CSR.
-
-        Delta application (:func:`repro.index.delta.apply_delta`) may
-        leave ``transition`` as a
-        :class:`~repro.core.overlay.CsrOverlay`; serialisation and
-        factor reconstruction want plain CSR. Returns ``self`` when
-        nothing is an overlay.
-        """
-        from dataclasses import replace
-
-        from repro.core.overlay import CsrOverlay
-
-        if not isinstance(self.transition, CsrOverlay):
-            return self
-        return replace(self, transition=self.transition.tocsr())
-
     @property
     def nbytes(self) -> int:
         """Total bytes across every array buffer."""
         total = 0
-        parts = []
         for matrix in self._csr_items().values():
-            if hasattr(matrix, "data"):
-                parts.append(matrix)
-            else:  # CsrOverlay: base plus the patch rows
-                parts.extend((matrix.base, matrix.patch))
-        for matrix in parts:
             total += (
                 matrix.data.nbytes
                 + matrix.indices.nbytes

@@ -6,12 +6,8 @@ applies an edge batch *to the artifacts themselves*:
 
 * ``Q`` (backward transition): only the rows of edit **targets**
   change (row ``v`` of ``Q`` is the normalised in-adjacency of ``v``),
-  so the new matrix is the untouched base plus a per-row patch —
-  a :class:`~repro.core.overlay.CsrOverlay` consulted directly by the
-  kernels, lazily compacted once the patch outgrows
-  ``max_overlay_fraction`` of the base. Approx mode compacts it on
-  every edit, because the walk patch and the estimator read raw CSR
-  buffers; compaction copies the untouched rows as contiguous slices.
+  so the new rows are spliced into a plain CSR between contiguous
+  slices of the untouched ones (:func:`repro.core.splice.replace_rows`).
 * ``Q^T``: structure changes only in edit **source** rows (row ``u``
   lists ``O(u)``), and every value is a pure gather of the per-column
   scale table ``1/|I(i)|`` — one slice splice plus one gather
@@ -54,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.overlay import CsrOverlay
+from repro.core.splice import replace_rows
 from repro.index.artifacts import (
     IndexMeta,
     IndexMismatchError,
@@ -195,11 +191,9 @@ def _splice_keys(
 
 
 def _gather_rows(
-    matrix, rows: np.ndarray
+    matrix: sp.csr_array, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(row_per_entry, cols)`` of ``rows``, overlay-aware."""
-    if isinstance(matrix, CsrOverlay):
-        return matrix.row_arrays(rows)
+    """``(row_per_entry, cols)`` of ``rows``."""
     indptr = np.asarray(matrix.indptr)
     counts = np.diff(indptr)[rows]
     total = int(counts.sum())
@@ -218,33 +212,13 @@ def _gather_rows(
     )
 
 
-def _row_counts(matrix) -> np.ndarray:
-    """Per-row nnz as int64, overlay-aware."""
-    if isinstance(matrix, CsrOverlay):
-        counts = np.diff(matrix.base.indptr).astype(np.int64)
-        counts[matrix.patch_rows] = np.diff(matrix.patch.indptr)
-        return counts
-    return np.diff(np.asarray(matrix.indptr)).astype(np.int64)
-
-
-def _row_scales(matrix) -> np.ndarray:
+def _row_scales(matrix: sp.csr_array) -> np.ndarray:
     """``scale[v]`` (= the constant value of row ``v``) for every row.
 
     ``Q`` stores ``1/|I(v)|`` in every entry of row ``v``, so the
     table is recovered exactly — same bits as the ``np.divide`` that
     produced it — by reading each non-empty row's first value.
     """
-    if isinstance(matrix, CsrOverlay):
-        scales = _row_scales(matrix.base)
-        patch = matrix.patch
-        pcounts = np.diff(patch.indptr)
-        pvals = np.zeros(matrix.patch_rows.size, dtype=patch.dtype)
-        nz = pcounts > 0
-        pvals[nz] = np.asarray(patch.data)[
-            np.asarray(patch.indptr[:-1])[nz]
-        ]
-        scales[matrix.patch_rows] = pvals
-        return scales
     indptr = np.asarray(matrix.indptr)
     counts = np.diff(indptr)
     scales = np.zeros(matrix.shape[0], dtype=matrix.dtype)
@@ -279,7 +253,6 @@ def apply_delta(
     added: Iterable[Sequence[int]] | np.ndarray,
     removed: Iterable[Sequence[int]] | np.ndarray = (),
     *,
-    max_overlay_fraction: float = 0.25,
     chain_depth: int = 1,
 ) -> tuple[SimilarityIndex, IndexDelta]:
     """Apply an edge batch to every artifact of ``base_index``.
@@ -287,14 +260,13 @@ def apply_delta(
     Returns ``(new_index, delta)``: the post-mutation index (its meta
     is bit-for-bit what a fresh build over the mutated graph would
     record) and the :class:`IndexDelta` chaining record ready for
-    :func:`save_delta`. The base index is never modified; untouched
-    CSR rows of the result share (or byte-copy) the base's buffers.
+    :func:`save_delta`. The base index is never modified; every CSR
+    artifact of the result is a plain ``csr_array`` whose untouched
+    rows byte-copy the base's.
 
     ``added`` edges must be absent from and ``removed`` edges present
     in the base edge set (``ValueError`` otherwise — a failed apply
-    leaves nothing half-mutated). ``max_overlay_fraction`` bounds how
-    much of ``Q`` may live in the overlay patch before it is compacted
-    to a clean CSR (``0`` forces eager row surgery every time).
+    leaves nothing half-mutated).
 
     Examples
     --------
@@ -310,7 +282,7 @@ def apply_delta(
     >>> applied.meta == fresh.meta
     True
     >>> bool(np.array_equal(
-    ...     applied.compacted().transition.toarray(),
+    ...     applied.transition.toarray(),
     ...     fresh.transition.toarray()))
     True
     """
@@ -338,7 +310,7 @@ def apply_delta(
     dtype = q.dtype
 
     # -- per-row scale table 1/|I(v)| after the edits ------------------
-    counts = _row_counts(q)
+    counts = np.diff(np.asarray(q.indptr)).astype(np.int64)
     delta_counts = np.zeros(n, dtype=np.int64)
     if added.shape[0]:
         np.add.at(delta_counts, added[:, 1], 1)
@@ -372,9 +344,7 @@ def apply_delta(
     right = np.searchsorted(prow, q_rows, side="right")
     patch_indptr = np.zeros(q_rows.size + 1, dtype=np.int64)
     np.cumsum(right - left, out=patch_indptr[1:])
-    idx_dtype = np.asarray(
-        q.base.indices if isinstance(q, CsrOverlay) else q.indices
-    ).dtype
+    idx_dtype = np.asarray(q.indices).dtype
     q_patch = sp.csr_array(
         (
             inv_new[prow],
@@ -383,10 +353,7 @@ def apply_delta(
         ),
         shape=(q_rows.size, n),
     )
-    if isinstance(q, CsrOverlay):
-        new_q: CsrOverlay | sp.csr_array = q.with_rows(q_rows, q_patch)
-    else:
-        new_q = CsrOverlay(q, q_rows, q_patch)
+    new_q = replace_rows(q, q_rows, q_patch)
 
     # -- Q^T: row surgery on the edit-source rows + value gather -------
     qt_rows = np.unique(
@@ -414,7 +381,7 @@ def apply_delta(
         ),
         shape=(qt_rows.size, n),
     )
-    qt_struct = CsrOverlay(qt, qt_rows, qt_patch).tocsr()
+    qt_struct = replace_rows(qt, qt_rows, qt_patch)
     # every Q^T value is 1/|I(column)| — one gather refreshes rows the
     # surgery never touched but whose referenced in-degrees changed
     qt_indices = np.asarray(qt_struct.indices)
@@ -448,22 +415,17 @@ def apply_delta(
             ),
             shape=(q_rows.size, n),
         )
-        new_ed = CsrOverlay(e_direct, q_rows, ed_patch).tocsr()
+        new_ed = replace_rows(e_direct, q_rows, ed_patch)
         empty = sp.csr_array(
             (q_rows.size, h_out.shape[1]), dtype=h_out.dtype
         )
-        new_ho = CsrOverlay(h_out, q_rows, empty).tocsr()
+        new_ho = replace_rows(h_out, q_rows, empty)
         factors = (new_ed, new_ho, h_in)
 
-    # -- lazy compaction / walk patch ----------------------------------
+    # -- walks: re-walk the sources standing on an edit target ---------
     walks = None
     if base_index.walks is not None:
-        # the re-walk and the estimator read raw CSR buffers
-        old_q = q.tocsr() if isinstance(q, CsrOverlay) else q
-        new_q = new_q.tocsr()
-        walks = base_index.walks.rewalked(old_q, new_q, q_rows)
-    elif new_q.patch_fraction > max_overlay_fraction:
-        new_q = new_q.tocsr()
+        walks = base_index.walks.rewalked(q, new_q, q_rows)
 
     new_index = SimilarityIndex(
         meta=new_meta,
@@ -620,8 +582,6 @@ def load_delta(path: str | Path) -> IndexDelta:
 def apply_delta_file(
     base_index: SimilarityIndex,
     path: str | Path,
-    *,
-    max_overlay_fraction: float = 0.25,
 ) -> tuple[SimilarityIndex, IndexDelta]:
     """Load ``path`` and apply it onto ``base_index``, verifying the chain.
 
@@ -674,7 +634,6 @@ def apply_delta_file(
         base_index,
         delta.added,
         delta.removed,
-        max_overlay_fraction=max_overlay_fraction,
         chain_depth=delta.chain_depth,
     )
     if new_index.meta.graph_digest != delta.result_digest:

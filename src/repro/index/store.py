@@ -197,10 +197,6 @@ def save_index(index, path: str | Path) -> Path:
     >>> load_index(path).meta == index.meta
     True
     """
-    if hasattr(index, "compacted"):
-        # delta-applied indexes may hold a CsrOverlay transition; the
-        # on-disk form is always a clean CSR
-        index = index.compacted()
     arrays, csr_shapes = _flat_arrays(index)
     return write_container(
         path,

@@ -367,7 +367,7 @@ class Observability:
         registry.gauge_fn(
             "repro_snapshot_chain_depth",
             "Delta generations stacked on the current base index.",
-            lambda: snapshots._chain_depth,
+            lambda: snapshots.current.chain_depth,
         )
         registry.gauge_fn(
             "repro_graph_nodes",

@@ -103,21 +103,18 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "killed, so this bounds nothing else (default 120)",
     )
     parser.add_argument(
-        "--delta-mode", choices=("auto", "off"), default="auto",
-        help="incremental index maintenance: 'auto' (default) applies "
-        "small edge batches as O(delta) artifact surgery "
-        "(bit-identical to a rebuild), 'off' rebuilds on every "
-        "mutation",
-    )
-    parser.add_argument(
         "--max-delta-fraction", type=float, default=0.10,
         help="largest edit batch (as a fraction of current edges) "
-        "still taking the delta path (default 0.10)",
+        "applied as O(delta) artifact surgery, bit-identical to a "
+        "rebuild; larger batches rebuild, and 0 rebuilds on every "
+        "mutation (default 0.10)",
     )
     parser.add_argument(
         "--max-chain-depth", type=int, default=8,
         help="delta generations that may stack before a mutation "
-        "folds the chain with a full rebuild (default 8)",
+        "folds the chain with a full rebuild: a restart replays one "
+        "segment per generation, and memo-gSR* loses biclique "
+        "sharing on every touched row (default 8)",
     )
     parser.add_argument(
         "--max-queue-depth", type=int, default=0,
@@ -181,7 +178,6 @@ def _build_service(args) -> ServingService:
         index_path=getattr(args, "index", None),
         workers=args.workers,
         shard_timeout=args.shard_timeout,
-        delta_mode=args.delta_mode,
         max_delta_fraction=args.max_delta_fraction,
         max_chain_depth=args.max_chain_depth,
         max_queue_depth=args.max_queue_depth,
@@ -490,8 +486,7 @@ def render_status(document: dict) -> str:
     )
     if delta:
         lines.append(
-            f"delta         mode={delta.get('mode')} "
-            f"chain_depth={delta.get('chain_depth', 0)}/"
+            f"delta         chain_depth={delta.get('chain_depth', 0)}/"
             f"{delta.get('max_chain_depth', 0)} "
             f"max_fraction={delta.get('max_delta_fraction', 0.0)} "
             f"segments_loaded={delta.get('segments_loaded', 0)}"

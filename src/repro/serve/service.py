@@ -89,14 +89,13 @@ class ServingService:
         shard counts as crashed (see
         :meth:`~repro.cluster.ThreadWorkerPool.hang_worker`). A
         thread cannot be killed, so this bounds nothing else.
-    delta_mode / max_delta_fraction / max_chain_depth:
+    max_delta_fraction / max_chain_depth:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
         batches go through ``O(delta)`` index surgery (bit-identical
         results, chained ``.delta-<n>`` segments on disk) instead of a
-        full rebuild.
-        ``delta_mode="off"`` restores the rebuild-every-time
-        behaviour.
+        full rebuild. ``max_delta_fraction=0`` rebuilds on every
+        mutation.
     telemetry:
         ``True`` (default) builds a full
         :class:`~repro.obs.Observability` — hot-path histograms,
@@ -170,7 +169,6 @@ class ServingService:
         workers: int = 0,
         backend: str = "thread",
         shard_timeout: float = 120.0,
-        delta_mode: str = "auto",
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
         telemetry: bool = True,
@@ -200,7 +198,6 @@ class ServingService:
             graph,
             config,
             index_path=index_path,
-            delta_mode=delta_mode,
             max_delta_fraction=max_delta_fraction,
             max_chain_depth=max_chain_depth,
             **overrides,

@@ -68,6 +68,10 @@ class Snapshot:
     base_seq:
         ``seq`` of the generation a delta snapshot chains onto
         (``None`` for full builds).
+    chain_depth:
+        Delta generations stacked on the last full build (0 for a
+        full build; a restart that replays ``k`` persisted segments
+        starts at ``k``).
 
     Examples
     --------
@@ -82,7 +86,9 @@ class Snapshot:
     'gSR*'
     """
 
-    __slots__ = ("engine", "seq", "version", "delta", "base_seq")
+    __slots__ = (
+        "engine", "seq", "version", "delta", "base_seq", "chain_depth"
+    )
 
     def __init__(
         self,
@@ -90,12 +96,14 @@ class Snapshot:
         seq: int,
         delta: IndexDelta | None = None,
         base_seq: int | None = None,
+        chain_depth: int = 0,
     ) -> None:
         self.engine = engine
         self.seq = seq
         self.version = engine.graph.version
         self.delta = delta
         self.base_seq = base_seq
+        self.chain_depth = chain_depth
 
     @property
     def graph(self) -> DiGraph:
@@ -151,28 +159,21 @@ class SnapshotManager:
     persist_index:
         Set ``False`` to load from ``index_path`` but never write it
         (read-only replicas sharing a file owned by a primary).
-    delta_mode:
-        ``"auto"`` (default) routes eligible mutations through
+    max_delta_fraction:
+        A mutation batch goes through
         :func:`repro.index.delta.apply_delta` — ``O(delta)`` artifact
         surgery instead of an ``O(graph)`` rebuild, with the result
-        bit-identical to a from-scratch build. ``"off"`` forces the
-        classic full-rebuild path for every mutation. Any failure on
-        the delta path falls back to a full rebuild automatically
-        (counted in ``delta_fallbacks``); correctness never depends
-        on the fast path.
-    max_delta_fraction:
-        A mutation batch qualifies for the delta path only while
-        ``num_edits <= max_delta_fraction * num_edges`` — past that,
+        bit-identical to a from-scratch build — only while
+        ``num_edits <= max_delta_fraction * num_edges``. Past that,
         row surgery approaches rebuild cost and a full build resets
-        the chain instead.
+        the chain instead; ``0`` rebuilds on every mutation. Any
+        failure on the delta path falls back to a full rebuild
+        automatically (counted in ``delta_fallbacks``); correctness
+        never depends on the fast path.
     max_chain_depth:
         Deltas stack (each chains onto the previous generation); once
         a swap would exceed this depth the manager takes the full
         path, folding the chain into a fresh base.
-    max_overlay_fraction:
-        Forwarded to :func:`~repro.index.delta.apply_delta`: how much
-        of ``Q`` may live in the overlay patch before the applied
-        index is compacted to a clean CSR.
 
     Examples
     --------
@@ -199,29 +200,21 @@ class SnapshotManager:
         copy: bool = True,
         index_path: str | Path | None = None,
         persist_index: bool = True,
-        delta_mode: str = "auto",
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
-        max_overlay_fraction: float = 0.25,
         **overrides,
     ) -> None:
         if config is None:
             config = SimilarityConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
-        if delta_mode not in ("auto", "off"):
-            raise ValueError(
-                f"delta_mode must be 'auto' or 'off', got {delta_mode!r}"
-            )
         self.config = config
         self.index_path = (
             Path(index_path) if index_path is not None else None
         )
         self.persist_index = persist_index
-        self.delta_mode = delta_mode
         self.max_delta_fraction = float(max_delta_fraction)
         self.max_chain_depth = int(max_chain_depth)
-        self.max_overlay_fraction = float(max_overlay_fraction)
         self._swap_lock = threading.Lock()   # guards `_current`
         self._build_lock = threading.Lock()  # serialises rebuilds
         self.builds = 0
@@ -242,8 +235,6 @@ class SnapshotManager:
         # repro_swap_stage_seconds histogram)
         self.swap_observer = None
         self._last_persisted: SimilarityEngine | None = None
-        self._chain_depth = 0
-        self._loaded_chain_depth = 0
         # delta segments are numbered independently of snapshot seq so
         # a restart (seq resets to 0) never overwrites a live segment
         self._delta_seq = 0
@@ -257,15 +248,18 @@ class SnapshotManager:
         # later generation reusing it could be served answers cached
         # from the rejected green
         self._seq_alloc = 0
-        engine = self._engine_for(graph.copy() if copy else graph)
-        self._current = Snapshot(engine, seq=0)
+        engine, depth = self._engine_for(graph.copy() if copy else graph)
+        self._current = Snapshot(engine, seq=0, chain_depth=depth)
 
     # ------------------------------------------------------------------
     # persistent-index plumbing
     # ------------------------------------------------------------------
-    def _engine_for(self, graph: DiGraph) -> SimilarityEngine:
-        """An engine over ``graph``, warmed from disk when possible."""
-        index = self._load_index()
+    def _engine_for(
+        self, graph: DiGraph
+    ) -> tuple[SimilarityEngine, int]:
+        """An engine over ``graph``, warmed from disk when possible,
+        and the delta chain depth it was loaded at (0 if built)."""
+        index, depth = self._load_index()
         if index is not None:
             try:
                 # the engine's constructor verifies the fingerprint;
@@ -277,21 +271,19 @@ class SnapshotManager:
                 pass  # stale content: rebuild (and later overwrite)
             else:
                 self.index_loads += 1
-                self._chain_depth = self._loaded_chain_depth
-                return engine
-        self._chain_depth = 0
-        return SimilarityEngine(graph, self.config)
+                return engine, depth
+        return SimilarityEngine(graph, self.config), 0
 
-    def _load_index(self) -> SimilarityIndex | None:
+    def _load_index(self) -> tuple[SimilarityIndex | None, int]:
         if self.index_path is None or not self.index_path.exists():
-            return None
+            return None, 0
         try:
             index = SimilarityIndex.load(self.index_path, mmap=True)
         except (IndexFormatError, OSError):
             # unreadable files are treated as absent, not fatal: the
             # next persist overwrites them with a healthy one
             self.index_load_errors += 1
-            return None
+            return None, 0
         # replay any delta segments persisted beside the base: a
         # restart resumes the chained generation without a rebuild. A
         # broken link ends the chain — serve what replays cleanly and
@@ -299,11 +291,7 @@ class SnapshotManager:
         depth = 0
         for _seq, path in find_delta_siblings(self.index_path):
             try:
-                index, applied = apply_delta_file(
-                    index,
-                    path,
-                    max_overlay_fraction=self.max_overlay_fraction,
-                )
+                index, applied = apply_delta_file(index, path)
             except (
                 IndexFormatError,
                 IndexMismatchError,
@@ -314,8 +302,7 @@ class SnapshotManager:
                 break
             depth = applied.chain_depth
             self.delta_segments_loaded += 1
-        self._loaded_chain_depth = depth
-        return index
+        return index, depth
 
     def _persist_index(self, engine: SimilarityEngine) -> None:
         if self.index_path is None or not self.persist_index:
@@ -398,17 +385,19 @@ class SnapshotManager:
         snapshot keeps serving until the atomic pointer swap, and
         in-flight queries that read it finish on it afterwards.
 
-        With ``delta_mode="auto"`` a batch that stays under
-        ``max_delta_fraction`` of the edge set goes through the
-        ``O(delta)`` incremental path (:func:`repro.index.delta
-        .apply_delta`): only the touched CSR rows and factor rows are
-        recomputed, the result is bit-identical to a full rebuild, and
-        only a tiny chained segment is persisted. Any delta-path
-        failure falls back to the full rebuild transparently.
+        A batch that stays under ``max_delta_fraction`` of the edge
+        set goes through the ``O(delta)`` incremental path
+        (:func:`repro.index.delta.apply_delta`): only the touched CSR
+        rows and factor rows are recomputed, the result is
+        bit-identical to a full rebuild, and only a tiny chained
+        segment is persisted. Any delta-path failure falls back to the
+        full rebuild transparently.
 
-        Returns the new :class:`Snapshot`. Raises (and swaps nothing)
-        if any edit is invalid — a failed mutation leaves serving
-        untouched.
+        Returns the new :class:`Snapshot`, or the current one when the
+        batch has no net edit (re-adding an existing edge, adding and
+        removing the same edge): nothing is built, swapped or
+        persisted. Raises (and swaps nothing) if any edit is invalid —
+        a failed mutation leaves serving untouched.
         """
         add = list(add)
         remove = list(remove)
@@ -426,6 +415,8 @@ class SnapshotManager:
         eff_add, eff_rem = self._effective_edits(
             base.graph, add_ids, remove_ids
         )
+        if not eff_add and not eff_rem:
+            return base  # no net edit: the current generation stands
         fresh: Snapshot | None = None
         if self._delta_eligible(base, eff_add, eff_rem):
             try:
@@ -535,13 +526,9 @@ class SnapshotManager:
         eff_add: list[tuple[int, int]],
         eff_rem: list[tuple[int, int]],
     ) -> bool:
-        if self.delta_mode != "auto":
-            return False
-        num_edits = len(eff_add) + len(eff_rem)
-        if num_edits == 0:
-            return False  # no-op batch: let the full path handle it
-        if self._chain_depth + 1 > self.max_chain_depth:
+        if base.chain_depth + 1 > self.max_chain_depth:
             return False  # fold the chain into a fresh base
+        num_edits = len(eff_add) + len(eff_rem)
         budget = self.max_delta_fraction * max(1, base.graph.num_edges)
         return num_edits <= budget
 
@@ -592,8 +579,7 @@ class SnapshotManager:
             base_index,
             eff_add,
             eff_rem,
-            max_overlay_fraction=self.max_overlay_fraction,
-            chain_depth=self._chain_depth + 1,
+            chain_depth=base.chain_depth + 1,
         )
         # from_index re-verifies the fingerprint against the edited
         # graph — a wrong splice can never reach serving
@@ -606,9 +592,9 @@ class SnapshotManager:
             seq=self._alloc_seq(base),
             delta=delta,
             base_seq=base.seq,
+            chain_depth=delta.chain_depth,
         )
         commit_s = self._swap_pointer(fresh)
-        self._chain_depth = delta.chain_depth
         self.delta_swaps += 1
         # persist only after the swap (segment write must not extend
         # how long traffic is served by the stale snapshot); a delta
@@ -626,11 +612,13 @@ class SnapshotManager:
         """The classic path: edit a graph copy, rebuild, hot-swap."""
         t_build = perf_counter()
         graph = base.graph.copy_with_edits(eff_add, eff_rem)
-        engine = self._engine_for(graph)
+        engine, depth = self._engine_for(graph)
         self._warm(engine)
         self.builds += 1
         build_s = perf_counter() - t_build
-        fresh = Snapshot(engine, seq=self._alloc_seq(base))
+        fresh = Snapshot(
+            engine, seq=self._alloc_seq(base), chain_depth=depth
+        )
         commit_s = self._swap_pointer(fresh)
         self.full_swaps += 1
         # persist only after the swap: the disk write (checksums
@@ -681,10 +669,12 @@ class SnapshotManager:
                 base.graph, add_ids, remove_ids
             )
             graph = base.graph.copy_with_edits(eff_add, eff_rem)
-            engine = self._engine_for(graph)
+            engine, depth = self._engine_for(graph)
             self._warm(engine)
             self.builds += 1
-            green = Snapshot(engine, seq=self._alloc_seq(base))
+            green = Snapshot(
+                engine, seq=self._alloc_seq(base), chain_depth=depth
+            )
             self.canary_prepares += 1
             return base, green
 
@@ -739,15 +729,15 @@ class SnapshotManager:
 
     def describe(self) -> dict:
         """JSON-ready manager state: current snapshot + swap counters."""
+        current = self.current
         return {
-            "current": self.current.describe(),
+            "current": current.describe(),
             "builds": self.builds,
             "swaps": self.swaps,
             "delta": {
-                "mode": self.delta_mode,
                 "max_delta_fraction": self.max_delta_fraction,
                 "max_chain_depth": self.max_chain_depth,
-                "chain_depth": self._chain_depth,
+                "chain_depth": current.chain_depth,
                 "swaps": self.delta_swaps,
                 "full_swaps": self.full_swaps,
                 "fallbacks": self.delta_fallbacks,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.overlay import CsrOverlay
+from repro.core.splice import replace_rows
 from repro.datasets import scale_free_graph
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph import DiGraph, random_digraph
@@ -62,11 +62,11 @@ def _edited(graph, add, remove):
 
 
 def _assert_csr_identical(actual, expected):
-    if isinstance(actual, CsrOverlay):
-        actual = actual.tocsr()
-    np.testing.assert_array_equal(actual.indptr, expected.indptr)
-    np.testing.assert_array_equal(actual.indices, expected.indices)
-    np.testing.assert_array_equal(actual.data, expected.data)
+    assert type(actual) is sp.csr_array
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestCopyWithEdits:
@@ -90,56 +90,28 @@ class TestCopyWithEdits:
             graph.copy_with_edits([], [(1, 2)])
 
 
-class TestCsrOverlay:
-    def _overlay_pair(self, seed=3, rows=(2, 7, 19)):
-        rng = np.random.default_rng(seed)
-        base = sp.random_array(
-            (30, 30), density=0.2, random_state=rng, format="csr"
-        )
-        base.sort_indices()
+def test_replace_rows_splices_whole_rows():
+    rng = np.random.default_rng(3)
+    base = sp.random_array(
+        (30, 30), density=0.2, random_state=rng, format="csr"
+    )
+    base.sort_indices()
+    before = base.toarray()
+    # scattered rows, runs touching both ends, no rows, every row
+    for rows in (
+        (2, 7, 19), (0, 1, 2, 10, 11, 28, 29), (), range(30)
+    ):
         rows = np.array(rows, dtype=np.intp)
         patch = base[rows, :].copy()
         patch.data = patch.data * 2.0
-        return CsrOverlay(base, rows, patch), base, rows, patch
-
-    def test_tocsr_merges_patched_rows(self):
-        # scattered rows, runs touching both ends, no rows, every row
-        for rows in (
-            (2, 7, 19), (0, 1, 2, 10, 11, 28, 29), (), range(30)
-        ):
-            overlay, base, rows, patch = self._overlay_pair(rows=rows)
-            merged = overlay.tocsr()
-            dense = base.toarray()
-            dense[rows] = patch.toarray()
-            np.testing.assert_array_equal(merged.toarray(), dense)
-            assert merged.indptr.dtype == base.indptr.dtype
-            assert merged.has_sorted_indices
-
-    def test_spmm_matches_merged_matmul(self):
-        overlay, *_ = self._overlay_pair()
-        rng = np.random.default_rng(4)
-        dense = rng.standard_normal((30, 5))
-        out = np.empty((30, 5))
-        overlay.spmm_into(dense, out)
-        np.testing.assert_allclose(
-            out, overlay.tocsr() @ dense, atol=1e-13
-        )
-
-    def test_with_rows_stacks_patches(self):
-        overlay, base, _, _ = self._overlay_pair()
-        rows2 = np.array([7, 11])  # 7 re-patched, 11 new
-        patch2 = base[rows2, :].copy()
-        patch2.data = patch2.data * 3.0
-        stacked = overlay.with_rows(rows2, patch2)
-        merged = stacked.tocsr().toarray()
-        np.testing.assert_array_equal(
-            merged[11], patch2.toarray()[1]
-        )
-        np.testing.assert_array_equal(
-            merged[7], patch2.toarray()[0]  # newest patch wins
-        )
-        merged_old = overlay.tocsr().toarray()
-        np.testing.assert_array_equal(merged[2], merged_old[2])
+        merged = replace_rows(base, rows, patch)
+        dense = before.copy()
+        dense[rows] = patch.toarray()
+        np.testing.assert_array_equal(merged.toarray(), dense)
+        assert merged.indptr.dtype == base.indptr.dtype
+        assert merged.indices.dtype == base.indices.dtype
+        assert merged.has_sorted_indices
+    np.testing.assert_array_equal(base.toarray(), before)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -169,6 +141,9 @@ class TestApplyDeltaParity:
             applied.transition_t, rebuilt.transition_t
         )
         if rebuilt.factors is not None:
+            assert all(
+                type(f) is sp.csr_array for f in applied.factors
+            )
             # touched rows are demoted out of their bicliques, so the
             # factor *structure* legitimately differs from a global
             # recompression — but both decompositions must reconstruct
@@ -214,11 +189,11 @@ class TestApplyDeltaParity:
             )
             graph = _edited(graph, add, remove)
             assert delta.chain_depth == depth
-        rebuilt = SimilarityIndex.build(graph, config)
-        _assert_csr_identical(index.transition, rebuilt.transition)
-        _assert_csr_identical(
-            index.transition_t, rebuilt.transition_t
-        )
+            rebuilt = SimilarityIndex.build(graph, config)
+            _assert_csr_identical(index.transition, rebuilt.transition)
+            _assert_csr_identical(
+                index.transition_t, rebuilt.transition_t
+            )
 
 
 #: deepest chain the serving layer lets a walk index be patched through
@@ -314,6 +289,10 @@ class TestApplyDeltaApprox:
             graph = _edited(graph, add, remove)
             rebuilt = SimilarityIndex.build(graph, self.CONFIG)
             assert index.meta == rebuilt.meta
+            _assert_csr_identical(index.transition, rebuilt.transition)
+            _assert_csr_identical(
+                index.transition_t, rebuilt.transition_t
+            )
             _assert_walks_identical(index.walks, rebuilt.walks)
         assert (graph.num_edges == 0) == edgeless_end
         replayed = load_index(base_path)
@@ -350,9 +329,7 @@ class TestDeltaSegments:
         replayed, _ = apply_delta_file(base, path)
         assert replayed.meta == applied.meta
         _assert_csr_identical(
-            replayed.transition_t, applied.transition_t.tocsr()
-            if isinstance(applied.transition_t, CsrOverlay)
-            else applied.transition_t,
+            replayed.transition_t, applied.transition_t
         )
 
     def test_corrupt_segment_rejected(self, tmp_path):
@@ -436,12 +413,67 @@ class TestSnapshotManagerDelta:
         assert manager.full_swaps == 1
         assert fresh.delta is None
 
-    def test_delta_mode_off_always_rebuilds(self):
+    def test_zero_delta_fraction_always_rebuilds(self):
         graph = random_digraph(30, 120, seed=19)
-        manager = self._manager(graph, delta_mode="off")
+        manager = self._manager(graph, max_delta_fraction=0)
         manager.mutate(add=[(0, 1) if not graph.has_edge(0, 1)
                             else (1, 0)])
         assert manager.delta_swaps == 0 and manager.full_swaps == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_no_op_batch_keeps_the_current_snapshot(self, mode, tmp_path):
+        path = tmp_path / "serve.simidx"
+        graph = random_digraph(40, 200, seed=31)
+        manager = SnapshotManager(
+            graph, measure="gSR*", num_iterations=6, mode=mode,
+            index_path=path,
+        )
+        manager.warmup()
+        manager.mutate(add=[(5, 5)])  # one real delta first
+        before = manager.current
+        counters = dict(vars(manager))
+        engine_stats = before.engine.stats.snapshot()
+        u, v = next(iter(graph.edges()))
+        fresh = (5, 7) if not graph.has_edge(5, 7) else (7, 5)
+        for add, remove in (
+            ([(u, v)], []),               # re-add an existing edge
+            ([fresh], [fresh]),           # add and remove one edge
+            ([(u, v), (5, 5)], []),       # both already present
+        ):
+            assert manager.mutate(add=add, remove=remove) is before
+        assert manager.current is before
+        assert dict(vars(manager)) == counters
+        assert before.engine.stats.snapshot() == engine_stats
+        assert [s for s, _ in find_delta_siblings(path)] == [1]
+
+    def test_canary_rollback_keeps_the_chain_promote_resets_it(
+        self, tmp_path
+    ):
+        path = tmp_path / "serve.simidx"
+        graph = random_digraph(50, 500, seed=32)
+        manager = self._manager(graph, index_path=path)
+        manager.warmup()
+        rng = np.random.default_rng(33)
+
+        def delta_mutation():
+            add, remove = _random_batch(manager.current.graph, rng, 3)
+            manager.mutate(add=add, remove=remove)
+
+        delta_mutation()
+        delta_mutation()
+        blue, _ = manager.prepare_canary(add=[(3, 3)])
+        manager.rollback_canary(blue)
+        assert manager.describe()["delta"]["chain_depth"] == 2
+        delta_mutation()
+        assert manager.delta_swaps == 3
+        assert [
+            load_delta(p).chain_depth
+            for _, p in find_delta_siblings(path)
+        ] == [1, 2, 3]
+        _, green = manager.prepare_canary(add=[(4, 4)])
+        manager.promote_canary(green)
+        assert manager.describe()["delta"]["chain_depth"] == 0
+        assert find_delta_siblings(path) == []
 
     def test_chain_depth_cap_folds_into_full_build(self):
         graph = random_digraph(40, 400, seed=20)

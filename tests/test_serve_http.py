@@ -94,6 +94,17 @@ class TestEndpoints:
             != [r["score"] for r in before["results"]]
         )
 
+    def test_no_op_mutate_answers_with_the_current_seq(self, server):
+        for body in (
+            {"add": [["a", "b"]]},  # already an edge
+            {"add": [["a", "h"]], "remove": [["a", "h"]]},
+        ):
+            document = http_json(f"{server.url}/mutate", body)
+            assert document["snapshot"]["seq"] == 0
+        status = http_json(f"{server.url}/status")
+        assert status["snapshots"]["swaps"] == 0
+        assert status["snapshots"]["builds"] == 0
+
     def test_unknown_node_answers_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             http_json(f"{server.url}/top_k", {"query": "zzz"})
