@@ -151,8 +151,9 @@ kernels release the GIL inside scipy/BLAS)::
     python -m repro.serve serve --workers 4 --index graph.simidx
 
 A mutation is just the snapshot swap: each batch holds the snapshot
-it read until it is answered, and a crashed worker is respawned with
-its shard retried — the zero-failed-requests guarantee survives both.
+it read until it is answered, so the zero-failed-requests guarantee
+survives it. A shard that raises fails only its own requests, and a
+request's deadline bounds its wait even on a kernel call that hangs.
 ``python -m repro.bench --cluster`` measures the scaling
 (``speedup_workers_4_vs_1``).
 
@@ -183,8 +184,7 @@ Packages
   coalescing broker, versioned result cache, snapshot hot-swap,
   stdlib HTTP front end (``python -m repro.serve``).
 * :mod:`repro.cluster` — sharded serving on worker threads: worker
-  lanes over the snapshot's one engine, a shard router with
-  per-worker circuit breakers and respawn-and-retry.
+  lanes over the snapshot's one engine and a shard router.
 * :mod:`repro.graph` — the graph substrate (structure, matrices,
   generators, IO, stats).
 * :mod:`repro.core` — SimRank* itself: geometric / exponential forms,

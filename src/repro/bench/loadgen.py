@@ -504,7 +504,6 @@ def run_cluster_scaling(
                 batch_seconds
             ).to_dict(),
             "shards_dispatched": router.shards_dispatched,
-            "shard_retries": router.shard_retries,
         }
 
     low, high = worker_counts[0], worker_counts[-1]

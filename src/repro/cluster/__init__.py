@@ -13,12 +13,11 @@ never leave the process.
 Two parts:
 
 * :class:`ThreadWorkerPool` — K worker lanes that hold no engines,
-  only per-lane counters and the chaos hooks (``kill_worker`` /
-  ``hang_worker`` / ``corrupt_next_reply``).
+  only per-lane counters and the BLAS cap.
 * :class:`ShardRouter` — splits each coalesced micro-batch of top-k /
-  score tasks into per-worker shards, runs them concurrently on the
-  snapshot's engine, and owns the per-worker circuit breakers and
-  respawn-and-retry.
+  score tasks into per-worker shards and runs them concurrently on
+  the snapshot's engine; a shard that raises fails only its own
+  tasks.
 
 Each shard is answered by :func:`run_tasks` (defined in
 :mod:`repro.engine.results`). ``ServingService(workers=0)`` starts one
@@ -54,17 +53,7 @@ End to end, one worker, eleven nodes (the paper's Figure 1 graph):
 """
 
 from repro.cluster.router import ShardRouter
-from repro.cluster.thread_pool import (
-    ClusterError,
-    ThreadWorkerPool,
-    WorkerCrash,
-)
+from repro.cluster.thread_pool import ClusterError, ThreadWorkerPool
 from repro.engine.results import run_tasks
 
-__all__ = [
-    "ClusterError",
-    "ShardRouter",
-    "ThreadWorkerPool",
-    "WorkerCrash",
-    "run_tasks",
-]
+__all__ = ["ClusterError", "ShardRouter", "ThreadWorkerPool", "run_tasks"]

@@ -284,6 +284,9 @@ class Observability:
              "Requests that shared a batch with at least one other."),
             ("cache_hits", "Requests served from the result cache."),
             ("errors", "Requests that failed inside the broker."),
+            ("abandoned_batches",
+             "Batches whose every member passed its deadline while "
+             "the compute ran (left to finish on its thread)."),
         ):
             registry.counter_fn(
                 f"repro_broker_{field}_total",
@@ -419,8 +422,6 @@ class Observability:
         for field, help_text in (
             ("batches_routed", "Micro-batches routed to shards."),
             ("shards_dispatched", "Shards dispatched to workers."),
-            ("shard_retries",
-             "Shards retried after a worker crash/hang."),
         ):
             registry.counter_fn(
                 f"repro_cluster_{field}_total",
@@ -431,11 +432,6 @@ class Observability:
             "repro_cluster_workers",
             "Configured worker threads.",
             lambda: router.pool.size,
-        )
-        registry.counter_fn(
-            "repro_cluster_respawns_total",
-            "Workers respawned after a crash.",
-            lambda: router.pool.describe()["respawns"],
         )
         for name, key, help_text in (
             ("shards", "shards_served", "Shards each worker served."),
@@ -453,32 +449,6 @@ class Observability:
                     for w in router.pool.worker_status()
                 ]),
             )
-        breakers = router.breakers
-        for field, help_text in (
-            ("trips",
-             "Circuit-breaker transitions to open (worker "
-             "quarantined, shards answered on the dispatch thread)."),
-            ("restores",
-             "Circuit-breaker half-open probes that closed the "
-             "breaker again."),
-            ("fallbacks",
-             "Shards answered on the dispatch thread while their "
-             "worker's breaker was open."),
-        ):
-            registry.counter_fn(
-                f"repro_breaker_{field}_total",
-                help_text,
-                (lambda f=field: getattr(breakers, f)),
-            )
-        registry.gauge_fn(
-            "repro_breaker_state",
-            "Per-worker circuit-breaker state "
-            "(0=closed, 1=half_open, 2=open).",
-            lambda: [
-                ({"worker": str(i)}, value)
-                for i, value in breakers.values()
-            ],
-        )
         started = time.monotonic()
         registry.gauge_fn(
             "repro_uptime_seconds",

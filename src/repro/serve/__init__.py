@@ -30,12 +30,12 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
 * :mod:`repro.serve.guard` — the overload-protection layer threaded
   through all of the above: bounded-admission load shedding
   (:class:`Overloaded` → HTTP 429), per-request deadlines
-  (:class:`DeadlineExceeded` → HTTP 504), a per-worker
-  :class:`CircuitBreaker` board quarantining crash-looping workers
-  behind a dispatch-thread fallback, and blue-green :class:`Canary`
-  snapshot swaps with automatic promote/rollback. The scripted
-  chaos drill (``python -m repro.serve chaos``,
-  :mod:`repro.serve.chaos`) proves the stack sheds instead of
+  (:class:`DeadlineExceeded` → HTTP 504) that also bound a kernel
+  call that hangs, and blue-green :class:`Canary` snapshot swaps
+  with automatic promote/rollback. The scripted chaos drill
+  (``python -m repro.serve chaos``, :mod:`repro.serve.chaos`)
+  injects real faults — a raising and a blocking engine call, a
+  flood, a bad canary — and proves the stack sheds instead of
   collapsing.
 
 Quick taste::
@@ -50,13 +50,7 @@ Quick taste::
 
 from repro.serve.broker import BrokerStats, QueryBroker
 from repro.serve.cache import CacheStats, ResultCache
-from repro.serve.guard import (
-    BreakerBoard,
-    Canary,
-    CircuitBreaker,
-    DeadlineExceeded,
-    Overloaded,
-)
+from repro.serve.guard import Canary, DeadlineExceeded, Overloaded
 from repro.serve.http import (
     SimilarityHTTPServer,
     ranking_to_dict,
@@ -66,11 +60,9 @@ from repro.serve.service import ServingService
 from repro.serve.snapshot import Snapshot, SnapshotManager
 
 __all__ = [
-    "BreakerBoard",
     "BrokerStats",
     "CacheStats",
     "Canary",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "Overloaded",
     "QueryBroker",

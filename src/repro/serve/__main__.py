@@ -23,12 +23,13 @@ Subcommands::
              swapped through the O(delta) incremental path; the run
              also scrapes ``/metrics`` mid-load and asserts the
              exported counters agree with the broker's stats
-    chaos    scripted chaos drill (repro.serve.chaos): kill, hang,
-             and corrupt workers under client load, then force a bad
-             blue-green canary; asserts zero unaccounted requests,
-             bounded p99, breaker trip->recover transitions, and
-             canary auto-rollback; writes the report JSON and the
-             breaker-transition JSONL (the CI artifacts)
+    chaos    scripted chaos drill (repro.serve.chaos): under client
+             load, an engine call that raises for chosen queries,
+             one that blocks past a short deadline, a flood past the
+             queue bound, and a canary whose green engine raises;
+             asserts zero unaccounted requests, bounded p99, each
+             fault's answers, recovery after each, and canary
+             auto-rollback; writes the report JSON (the CI artifact)
 
 Examples::
 
@@ -97,12 +98,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "threads (at least 1) while they run",
     )
     parser.add_argument(
-        "--shard-timeout", type=float, default=120.0,
-        help="seconds a chaos-simulated hung worker sleeps before its "
-        "shard counts as crashed and is retried; a thread cannot be "
-        "killed, so this bounds nothing else (default 120)",
-    )
-    parser.add_argument(
         "--max-delta-fraction", type=float, default=0.10,
         help="largest edit batch (as a fraction of current edges) "
         "applied as O(delta) artifact surgery, bit-identical to a "
@@ -126,19 +121,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--default-deadline-ms", type=float, default=0.0,
         help="per-request deadline: a request not answered within "
         "this budget fails with HTTP 504 without poisoning its "
-        "micro-batch; per-request 'deadline_ms' overrides it "
-        "(default 0 = no deadline)",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=5,
-        help="circuit breaker: consecutive crashes/timeouts before a "
-        "worker's breaker opens and its shards are answered on the "
-        "dispatch thread, bypassing the worker (default 5)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-s", type=float, default=5.0,
-        help="seconds an open breaker waits before a half-open "
-        "probe may restore the worker (default 5.0)",
+        "micro-batch, even when its kernel call hangs; per-request "
+        "'deadline_ms' overrides it (default 0 = no deadline)",
     )
     parser.add_argument(
         "--canary-fraction", type=float, default=0.1,
@@ -177,13 +161,10 @@ def _build_service(args) -> ServingService:
         cache_entries=args.cache_entries,
         index_path=getattr(args, "index", None),
         workers=args.workers,
-        shard_timeout=args.shard_timeout,
         max_delta_fraction=args.max_delta_fraction,
         max_chain_depth=args.max_chain_depth,
         max_queue_depth=args.max_queue_depth,
         default_deadline_ms=args.default_deadline_ms,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
         canary_fraction=args.canary_fraction,
         telemetry=not args.no_telemetry,
         slow_query_ms=(
@@ -323,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="scripted chaos drill (the chaos-drill CI job): kill, "
-        "hang, and corrupt workers under client load, then force a "
-        "bad blue-green canary; assert zero unaccounted requests, "
-        "bounded p99, breaker trip->recover, and canary "
-        "auto-rollback",
+        help="scripted chaos drill (the chaos-drill CI job): under "
+        "client load, a raising and a blocking engine call, a flood "
+        "past the queue bound, and a canary whose green engine "
+        "raises; assert zero unaccounted requests, bounded p99, each "
+        "fault's answers and recovery, and canary auto-rollback",
     )
     chaos.add_argument(
         "--workers", type=int, default=2,
@@ -354,29 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph + query-stream seed (default 7)",
     )
     chaos.add_argument(
-        "--shard-timeout", type=float, default=1.0,
-        help="seconds the simulated hung worker sleeps before its "
-        "shard counts as crashed (default 1.0 — short, so the hang "
-        "wave recovers quickly)",
-    )
-    chaos.add_argument(
-        "--breaker-cooldown-s", type=float, default=0.4,
-        help="breaker cooldown before the half-open probe "
-        "(default 0.4)",
-    )
-    chaos.add_argument(
         "--p99-budget-ms", type=float, default=30000.0,
         help="p99 latency bound the drill asserts (default 30000)",
     )
     chaos.add_argument(
         "--output", default="SERVE_chaos.json",
         help="drill report path (default SERVE_chaos.json)",
-    )
-    chaos.add_argument(
-        "--transitions", default="SERVE_chaos_transitions.jsonl",
-        metavar="PATH",
-        help="breaker-transition JSONL artifact path "
-        "(default SERVE_chaos_transitions.jsonl)",
     )
     return parser
 
@@ -513,17 +477,10 @@ def render_status(document: dict) -> str:
     cluster = document.get("cluster")
     if cluster:
         pool = cluster.get("pool", {})
-        alive = sum(
-            1 for w in cluster.get("worker_status", ())
-            if w.get("alive")
-        )
         lines.append(
             f"cluster       workers={pool.get('workers', 0)} "
-            f"(alive={alive}) "
             f"blas_threads={pool.get('blas_threads')} "
-            f"shards={cluster.get('shards_dispatched', 0)} "
-            f"retries={cluster.get('shard_retries', 0)} "
-            f"respawns={pool.get('respawns', 0)}"
+            f"shards={cluster.get('shards_dispatched', 0)}"
         )
     if index.get("path"):
         lines.append(
@@ -541,21 +498,9 @@ def render_status(document: dict) -> str:
             f"{guard.get('max_queue_depth', 0) or 'unbounded'} "
             f"shed={guard.get('shed', 0)} "
             f"deadline_ms={guard.get('default_deadline_ms', 0.0):g} "
-            f"deadline_expired={guard.get('deadline_expired', 0)}"
+            f"deadline_expired={guard.get('deadline_expired', 0)} "
+            f"abandoned_batches={broker.get('abandoned_batches', 0)}"
         )
-        breaker = guard.get("breaker") or {}
-        if breaker:
-            states = breaker.get("states", {})
-            lines.append(
-                f"breaker       threshold={breaker.get('threshold')} "
-                f"cooldown={breaker.get('cooldown_s')}s "
-                f"trips={breaker.get('trips', 0)} "
-                f"restores={breaker.get('restores', 0)} "
-                f"fallbacks={breaker.get('fallbacks', 0)} states="
-                + ",".join(
-                    f"{w}:{s}" for w, s in sorted(states.items())
-                )
-            )
         canary = guard.get("canary")
         if canary:
             counts = canary.get("counts", {})
@@ -798,12 +743,6 @@ def _cmd_smoke(args) -> int:
             and approx.get("index_bytes", 0) > 0
         )
     cluster = status["cluster"]
-    workers_alive = [
-        w for w in cluster.get("worker_status", ()) if w.get("alive")
-    ]
-    checks["all_workers_alive"] = (
-        len(workers_alive) == cluster["pool"]["workers"]
-    )
     checks["shards_dispatched"] = cluster["shards_dispatched"] > 0
     report = {
         "url": url,
@@ -852,7 +791,7 @@ def _cmd_chaos(args) -> int:
     print(
         f"chaos drill: --workers {args.workers}, "
         f"{args.clients} clients x {args.requests_per_client} "
-        "requests per wave (kill / hang / corrupt / bad green)",
+        "requests per wave (raise / block / flood / bad green)",
         flush=True,
     )
     report = run_drill(
@@ -862,28 +801,23 @@ def _cmd_chaos(args) -> int:
         nodes=args.nodes,
         edges=args.edges,
         seed=args.seed,
-        shard_timeout=args.shard_timeout,
-        breaker_cooldown_s=args.breaker_cooldown_s,
         p99_budget_ms=args.p99_budget_ms,
         report_path=args.output,
-        transitions_path=args.transitions,
         verbose=True,
     )
     counts = report["counts"]
     print(
         f"  {report['submitted']} requests: ok={counts['ok']} "
         f"shed={counts['shed']} deadline={counts['deadline']} "
-        f"error={counts['error']}; p99 "
+        f"failed={counts['failed']} error={counts['error']}; p99 "
         f"{report['latency']['p99_ms']:.1f} ms"
     )
-    breaker = report["breaker"]
     print(
-        f"  breaker trips={breaker.get('trips', 0)} "
-        f"restores={breaker.get('restores', 0)} "
-        f"fallbacks={breaker.get('fallbacks', 0)}; canary "
+        f"  abandoned_batches="
+        f"{report['broker'].get('abandoned_batches', 0)}; canary "
         f"outcome={report['canary'].get('outcome')}"
     )
-    print(f"wrote {args.output} and {args.transitions}")
+    print(f"wrote {args.output}")
     for name, passed in report["checks"].items():
         print(f"  {'ok' if passed else 'FAIL'} {name}")
     code = smoke_exit_code(report["checks"], [])

@@ -18,6 +18,11 @@ shared-precomputation similarity search (SLING-style serving).
 Each batch reads one :class:`~repro.serve.snapshot.Snapshot` and holds
 it by reference until it is answered, so a concurrent hot-swap never
 mixes generations within a batch nor frees the engine it computes on.
+A batch whose members carry deadlines is awaited no longer than the
+earliest live one: a kernel call that hangs is answered
+:class:`~repro.serve.guard.DeadlineExceeded` on time, and once every
+member has expired the batch is abandoned to its executor thread
+(counted in ``abandoned_batches``) while the next one dispatches.
 Answers are published to the versioned
 :class:`~repro.serve.cache.ResultCache` (when one is attached) before
 the caller's future resolves.
@@ -62,6 +67,8 @@ class BrokerStats:
     errors: int = 0
     shed: int = 0
     deadline_expired: int = 0
+    #: batches whose every member expired while their compute ran
+    abandoned_batches: int = 0
     batch_sizes: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -507,6 +514,55 @@ class QueryBroker:
         if self.canary is canary:
             self.canary = None
 
+    def _drop_expired(self, requests: list[_Request]) -> list[_Request]:
+        """Answer the members past their deadline; return the others."""
+        now = perf_counter()
+        live = []
+        for request in requests:
+            if request.deadline is not None and now >= request.deadline:
+                self._expire_request(request)
+            else:
+                live.append(request)
+        return live
+
+    async def _await_within_deadlines(
+        self, compute: asyncio.Future, work: list[_Request]
+    ) -> list[_Request]:
+        """Wait on ``compute`` no longer than the earliest live deadline.
+
+        A kernel call that hangs cannot be stopped, so the wait is
+        bounded instead. Each time the earliest deadline of the members
+        still waiting passes, those past it are answered
+        ``DeadlineExceeded``; members without a deadline wait as long
+        as the compute takes. ``asyncio.wait`` never cancels the
+        compute. Returns the members still waiting when it finishes,
+        or ``[]`` once none is left: the batch is then abandoned — its
+        executor thread keeps the call until it returns, and its
+        result is dropped.
+        """
+        pending = work
+        while not compute.done():
+            deadlines = [
+                r.deadline for r in pending if r.deadline is not None
+            ]
+            if not deadlines:
+                break
+            await asyncio.wait(
+                (compute,), timeout=min(deadlines) - perf_counter()
+            )
+            if compute.done():
+                break
+            pending = self._drop_expired(pending)
+            if not pending:
+                self.stats.abandoned_batches += 1
+                # fetch the late outcome so a failure is not logged as
+                # an exception nobody retrieved
+                compute.add_done_callback(
+                    lambda done: done.cancelled() or done.exception()
+                )
+                return []
+        return pending
+
     async def _dispatch_on(
         self,
         batch: list[_Request],
@@ -517,16 +573,9 @@ class QueryBroker:
         # is answered DeadlineExceeded here, without poisoning the
         # rest of the batch; if *every* member expired, the dispatch
         # (and its shard fan-out) is skipped entirely
-        now = perf_counter()
-        live: list[_Request] = []
-        for request in batch:
-            if request.deadline is not None and now >= request.deadline:
-                self._expire_request(request)
-            else:
-                live.append(request)
-        if not live:
+        batch = self._drop_expired(batch)
+        if not batch:
             return
-        batch = live
         engine = snapshot.engine
         obs = self._obs
         size = len(batch)
@@ -592,29 +641,24 @@ class QueryBroker:
             # runs on the executor thread: times the blocked column
             # work and ranking, separate from the executor hop
             t0 = perf_counter()
-            if (
-                canary_side == "green"
-                and canary is not None
-                and canary.inject_green_fault is not None
-            ):
-                # chaos-drill hook: a forced-bad-green raises here,
-                # exactly where a genuinely broken new generation
-                # would fail its batches
-                canary.inject_green_fault()
             results = self._router.compute_tasks(
                 snapshot, tasks, meta=shard_meta
             )
             return results, t0, perf_counter() - t0
 
         t_dispatch = perf_counter()
+        compute = asyncio.get_running_loop().run_in_executor(
+            None, timed_compute
+        )
+        pending = work
+        if any(request.deadline is not None for request in work):
+            pending = await self._await_within_deadlines(compute, work)
+            if not pending:
+                return
         try:
-            results, t_compute, compute_s = (
-                await asyncio.get_running_loop().run_in_executor(
-                    None, timed_compute
-                )
-            )
+            results, t_compute, compute_s = await compute
         except Exception as exc:
-            for request in work:
+            for request in pending:
                 self._fail_request(request, exc, side=canary_side)
             return
         dispatch_s = perf_counter() - t_dispatch
@@ -627,7 +671,7 @@ class QueryBroker:
         if obs.enabled:
             obs.batch_compute.observe(compute_s)
             shards = shard_meta.get("shards", ())
-            for request in work:
+            for request in pending:
                 trace = request.trace
                 if trace is None:
                     continue
@@ -656,7 +700,12 @@ class QueryBroker:
                     batch=len(tasks),
                 )
 
-        for request, result in zip(work, results):
+        answers = zip(work, results)
+        if pending is not work:
+            # the others were answered DeadlineExceeded during the wait
+            alive = set(pending)
+            answers = [pair for pair in answers if pair[0] in alive]
+        for request, result in answers:
             # deadline checkpoint two: the compute may have outlived a
             # member's deadline — answer it DeadlineExceeded instead
             # of a stale result, and keep rendering its peers

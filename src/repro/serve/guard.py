@@ -1,55 +1,26 @@
 """`repro.serve.guard` — admission control and resilience primitives.
 
-The serving stack's overload story lives here, as four small,
-independently testable pieces that the broker / router / snapshot
-manager thread through their hot paths:
+The serving stack's overload story lives here, as small,
+independently testable pieces that the broker and the serving
+service thread through their hot paths:
 
 * :class:`Overloaded` / :class:`DeadlineExceeded` — the two explicit
   "no answer, by design" results. Every request submitted to the
   broker ends in exactly one of {answer, ``Overloaded``,
   ``DeadlineExceeded``, error} — nothing is ever silently dropped.
-* :class:`CircuitBreaker` — one worker's closed → open → half-open
-  failure gate: after ``threshold`` *consecutive* failures the
-  breaker opens, dispatch to that worker is refused for
-  ``cooldown_s`` seconds, then a single half-open probe either
-  restores it (success → closed) or re-opens it.
-* :class:`BreakerBoard` — the per-worker breakers of one
-  :class:`~repro.cluster.ShardRouter`, sharing a lock, a trip /
-  restore counter pair, and an append-only transition log that the
-  chaos drill uploads as a CI artifact.
+  A deadline also bounds a kernel call that hangs: the broker waits
+  on a batch no longer than its earliest live deadline.
 * :class:`Canary` — the decision state of one blue-green snapshot
   swap: a deterministic traffic splitter, per-side error / latency
   reservoirs, and a single-shot promote-or-rollback verdict driven
   by the observed error-rate and p95 deltas.
-
-Everything takes an injectable ``clock`` so tests never sleep:
-
->>> from repro.serve.guard import CircuitBreaker
->>> t = [0.0]
->>> b = CircuitBreaker(threshold=2, cooldown_s=5.0, clock=lambda: t[0])
->>> b.record_failure(); b.record_failure(); b.state
-'open'
->>> b.allow()          # still cooling down
-False
->>> t[0] = 6.0
->>> b.allow()          # cooldown elapsed: one half-open probe
-True
->>> b.record_success(); b.state
-'closed'
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
-__all__ = [
-    "BreakerBoard",
-    "Canary",
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "Overloaded",
-]
+__all__ = ["Canary", "DeadlineExceeded", "Overloaded"]
 
 
 class Overloaded(RuntimeError):
@@ -87,238 +58,6 @@ class DeadlineExceeded(RuntimeError):
         ...
     repro.serve.guard.DeadlineExceeded: deadline of 5.0ms exceeded
     """
-
-
-#: Breaker states, also exported numerically (``repro_breaker_state``
-#: gauge values): closed=0, half_open=1, open=2.
-_STATE_VALUES = {"closed": 0, "half_open": 1, "open": 2}
-
-
-class CircuitBreaker:
-    """Closed → open → half-open failure gate for one worker.
-
-    ``record_failure`` counts *consecutive* failures; at
-    ``threshold`` the breaker opens and :meth:`allow` refuses
-    dispatch for ``cooldown_s`` seconds. The first :meth:`allow`
-    after the cooldown grants exactly one half-open probe; its
-    outcome (``record_success`` / ``record_failure``) closes or
-    re-opens the breaker. Not thread-safe on its own — the
-    :class:`BreakerBoard` wraps calls in one shared lock.
-
-    >>> t = [0.0]
-    >>> b = CircuitBreaker(threshold=3, cooldown_s=2.0,
-    ...                    clock=lambda: t[0])
-    >>> b.state, b.allow()
-    ('closed', True)
-    >>> b.record_failure(); b.record_failure(); b.state
-    'closed'
-    >>> b.record_success(); b.failures   # success resets the streak
-    0
-    >>> for _ in range(3): b.record_failure()
-    >>> b.state, b.allow()
-    ('open', False)
-    >>> t[0] = 2.5
-    >>> b.allow(), b.state               # one half-open probe
-    (True, 'half_open')
-    >>> b.allow()                        # second caller must wait
-    False
-    >>> b.record_failure(); b.state      # probe failed: re-open
-    'open'
-    """
-
-    __slots__ = ("threshold", "cooldown_s", "state", "failures",
-                 "_clock", "_open_until", "_probing")
-
-    def __init__(
-        self,
-        *,
-        threshold: int = 5,
-        cooldown_s: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(
-                f"threshold must be >= 1, got {threshold}"
-            )
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
-        self.state = "closed"
-        self.failures = 0
-        self._clock = clock
-        self._open_until = 0.0
-        self._probing = False
-
-    def allow(self) -> bool:
-        """May a shard be dispatched to this worker right now?"""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if self._clock() >= self._open_until:
-                self.state = "half_open"
-                self._probing = True
-                return True
-            return False
-        # half_open: one probe in flight at a time
-        if not self._probing:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A dispatch succeeded: reset the streak, close the breaker."""
-        self.failures = 0
-        self.state = "closed"
-        self._probing = False
-
-    def record_failure(self) -> None:
-        """A dispatch failed: extend the streak, maybe open."""
-        self.failures += 1
-        if self.state == "half_open" or self.failures >= self.threshold:
-            self.state = "open"
-            self._open_until = self._clock() + self.cooldown_s
-            self._probing = False
-
-    @property
-    def value(self) -> int:
-        """Numeric state for the ``repro_breaker_state`` gauge."""
-        return _STATE_VALUES[self.state]
-
-
-class BreakerBoard:
-    """The per-worker circuit breakers of one shard router.
-
-    One shared lock makes the individual breakers thread-safe under
-    the router's dispatch executor; ``trips`` / ``restores`` count
-    closed→open and →closed transitions, and :attr:`transitions` is
-    an append-only log of ``{"t", "worker", "from", "to"}`` rows —
-    the chaos drill writes it out as the breaker-transition CI
-    artifact.
-
-    >>> t = [0.0]
-    >>> board = BreakerBoard(2, threshold=1, cooldown_s=1.0,
-    ...                      clock=lambda: t[0])
-    >>> board.allow(0), board.allow(1)
-    (True, True)
-    >>> board.record_failure(0)   # threshold 1: trips immediately
-    True
-    >>> board.state(0), board.state(1), board.trips
-    ('open', 'closed', 1)
-    >>> t[0] = 1.5
-    >>> board.allow(0)            # half-open probe
-    True
-    >>> board.record_success(0); board.state(0), board.restores
-    ('closed', 1)
-    >>> [(row["worker"], row["from"], row["to"])
-    ...  for row in board.transitions]
-    [(0, 'closed', 'open'), (0, 'open', 'half_open'), (0, 'half_open', 'closed')]
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        threshold: int = 5,
-        cooldown_s: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._breakers = [
-            CircuitBreaker(
-                threshold=threshold, cooldown_s=cooldown_s, clock=clock
-            )
-            for _ in range(workers)
-        ]
-        self.trips = 0
-        self.restores = 0
-        self.fallbacks = 0
-        self.transitions: list[dict] = []
-
-    def _log(self, worker: int, before: str, after: str) -> None:
-        if before == after:
-            return
-        if after == "open":
-            self.trips += 1
-        elif after == "closed":
-            self.restores += 1
-        self.transitions.append(
-            {
-                "t": self._clock(),
-                "worker": worker,
-                "from": before,
-                "to": after,
-            }
-        )
-
-    def allow(self, worker: int) -> bool:
-        """May a shard be dispatched to ``worker`` right now?"""
-        with self._lock:
-            breaker = self._breakers[worker]
-            before = breaker.state
-            verdict = breaker.allow()
-            self._log(worker, before, breaker.state)
-            return verdict
-
-    def record_success(self, worker: int) -> None:
-        """Worker answered a shard; close its breaker."""
-        with self._lock:
-            breaker = self._breakers[worker]
-            before = breaker.state
-            breaker.record_success()
-            self._log(worker, before, breaker.state)
-
-    def record_failure(self, worker: int) -> bool:
-        """Worker failed a shard; returns True if the breaker opened."""
-        with self._lock:
-            breaker = self._breakers[worker]
-            before = breaker.state
-            breaker.record_failure()
-            self._log(worker, before, breaker.state)
-            return before != "open" and breaker.state == "open"
-
-    def record_fallback(self) -> None:
-        """A shard was served on the dispatch thread (breaker open)."""
-        with self._lock:
-            self.fallbacks += 1
-
-    def state(self, worker: int) -> str:
-        """Current state name of one worker's breaker."""
-        with self._lock:
-            return self._breakers[worker].state
-
-    def states(self) -> dict[int, str]:
-        """``{worker_index: state_name}`` for every breaker."""
-        with self._lock:
-            return {
-                i: b.state for i, b in enumerate(self._breakers)
-            }
-
-    def values(self) -> list[tuple[int, int]]:
-        """``(worker, numeric_state)`` pairs for the metrics gauge."""
-        with self._lock:
-            return [
-                (i, b.value) for i, b in enumerate(self._breakers)
-            ]
-
-    def describe(self) -> dict:
-        """Status snapshot for ``/status`` and ``serve status``."""
-        with self._lock:
-            return {
-                "threshold": self.threshold,
-                "cooldown_s": self.cooldown_s,
-                "states": {
-                    str(i): b.state
-                    for i, b in enumerate(self._breakers)
-                },
-                "trips": self.trips,
-                "restores": self.restores,
-                "fallbacks": self.fallbacks,
-                "transitions": len(self.transitions),
-            }
 
 
 class Canary:
@@ -375,9 +114,6 @@ class Canary:
         self.min_requests = int(min_requests)
         self.max_error_delta = float(max_error_delta)
         self.max_p95_ratio = float(max_p95_ratio)
-        #: drill hook — when set, green-side batches call this before
-        #: computing (raise to simulate a bad new generation)
-        self.inject_green_fault = None
         #: finalize callbacks, set by the owner (the serving service):
         #: run exactly once, by whichever caller wins :meth:`finalize`
         self.on_promote = None

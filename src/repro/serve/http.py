@@ -33,8 +33,9 @@ Endpoints
     responds with the new snapshot summary. With ``"canary": true``
     the edit is staged as a blue-green canary instead
     (:meth:`ServingService.mutate_canary`, optional ``"fraction"``
-    field) and the response carries the live canary document; a
-    canary already in flight answers 409.
+    field) and the response carries the live canary document, or
+    the current snapshot summary when the batch has no net edit.
+    While a canary is in flight, every mutation answers 409.
 
 Unknown nodes and malformed bodies answer 400 with
 ``{"error": ...}``; unexpected server-side failures answer 500. The
@@ -121,6 +122,24 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
+    @staticmethod
+    def _mutate(service, body: dict) -> dict:
+        add = body.get("add", ())
+        remove = body.get("remove", ())
+        if body.get("canary"):
+            fraction = body.get("fraction")
+            canary = service.mutate_canary(
+                add=add,
+                remove=remove,
+                fraction=None if fraction is None else float(fraction),
+            )
+            if canary is not None:
+                return {"canary": canary.describe()}
+            # no net edit: no canary, the current snapshot stands
+            return {"snapshot": service.snapshots.current.describe()}
+        snapshot = service.mutate(add=add, remove=remove)
+        return {"snapshot": snapshot.describe()}
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
         service = self.server.service
         if self.path == "/healthz":
@@ -170,26 +189,13 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/warmup":
                 self._send_json({"engine_stats": service.warmup()})
             elif self.path == "/mutate":
-                add = body.get("add", ())
-                remove = body.get("remove", ())
-                if body.get("canary"):
-                    fraction = body.get("fraction")
-                    try:
-                        canary = service.mutate_canary(
-                            add=add,
-                            remove=remove,
-                            fraction=(
-                                None if fraction is None
-                                else float(fraction)
-                            ),
-                        )
-                    except RuntimeError as exc:
-                        self._send_json({"error": str(exc)}, 409)
-                        return
-                    self._send_json({"canary": canary.describe()})
-                else:
-                    snapshot = service.mutate(add=add, remove=remove)
-                    self._send_json({"snapshot": snapshot.describe()})
+                try:
+                    document = self._mutate(service, body)
+                except RuntimeError as exc:
+                    # a canary in flight refuses every other write
+                    self._send_json({"error": str(exc)}, 409)
+                    return
+                self._send_json(document)
             else:
                 self._send_json(
                     {"error": f"no route {self.path}"}, 404

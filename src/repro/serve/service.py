@@ -77,18 +77,13 @@ class ServingService:
         workers run, OpenBLAS is capped at ``max(1, cores //
         workers)`` threads, so the workers' BLAS calls never ask for
         more threads than there are cores. A batch that fits in one
-        shard runs on the broker's executor thread. A crashed worker
-        is respawned and its shard retried, never dropped.
+        shard runs on the broker's executor thread. A shard that
+        raises fails only its own requests.
     backend:
         ``"thread"`` (default), the only worker backend. ``"process"``
         is still accepted with ``workers=0``, where it changes
         nothing; with ``workers >= 1`` it raises ``ValueError``
         because the process backend was removed.
-    shard_timeout:
-        Seconds a chaos-simulated hung worker sleeps before its
-        shard counts as crashed (see
-        :meth:`~repro.cluster.ThreadWorkerPool.hang_worker`). A
-        thread cannot be killed, so this bounds nothing else.
     max_delta_fraction / max_chain_depth:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
@@ -116,15 +111,11 @@ class ServingService:
         Server-wide per-request deadline in milliseconds; a request
         whose answer is not rendered within its budget fails with
         :class:`~repro.serve.guard.DeadlineExceeded` (HTTP 504)
-        without poisoning the rest of its micro-batch. Per-request
-        ``deadline_ms`` overrides it; ``0`` (default) disables.
-    breaker_threshold / breaker_cooldown_s:
-        Per-worker circuit breaker: after ``breaker_threshold``
-        consecutive crashes a worker's breaker opens and its shards
-        are answered on the dispatch thread, bypassing the worker;
-        after ``breaker_cooldown_s`` seconds a half-open probe
-        decides whether to restore it. See
-        :class:`~repro.serve.guard.BreakerBoard`.
+        without poisoning the rest of its micro-batch — even when its
+        kernel call hangs, since the broker waits on a batch no longer
+        than its earliest live deadline. Per-request ``deadline_ms``
+        overrides it; ``0`` (default) disables, and a request with no
+        deadline waits as long as its compute takes.
     canary_fraction / canary_min_requests / canary_max_error_delta / canary_max_p95_ratio:
         Blue-green swap policy for :meth:`mutate_canary`: route
         ``canary_fraction`` of traffic to the new (green) snapshot,
@@ -168,7 +159,6 @@ class ServingService:
         index_path=None,
         workers: int = 0,
         backend: str = "thread",
-        shard_timeout: float = 120.0,
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
         telemetry: bool = True,
@@ -176,8 +166,6 @@ class ServingService:
         slow_query_log=None,
         max_queue_depth: int = 0,
         default_deadline_ms: float = 0.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 5.0,
         canary_fraction: float = 0.1,
         canary_min_requests: int = 20,
         canary_max_error_delta: float = 0.10,
@@ -219,13 +207,8 @@ class ServingService:
         from repro.cluster.blas import usable_cores
 
         self.cluster = ShardRouter(
-            ThreadWorkerPool(
-                workers=workers or usable_cores(),
-                shard_timeout=shard_timeout,
-            ),
+            ThreadWorkerPool(workers=workers or usable_cores()),
             obs=self.observability,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown_s=breaker_cooldown_s,
         )
         self.broker = QueryBroker(
             self.snapshots,
@@ -383,9 +366,20 @@ class ServingService:
 
         Safe to call from any thread while queries are in flight:
         batches that read the old snapshot finish on it, later
-        batches see the new one.
+        batches see the new one. Refused with ``RuntimeError`` (HTTP
+        409) while a canary is in flight: promoting its green, built
+        from the older graph, would drop this write.
         """
-        return self.snapshots.mutate(add=add, remove=remove)
+        with self._canary_lock:
+            self._refuse_during_canary()
+            return self.snapshots.mutate(add=add, remove=remove)
+
+    def _refuse_during_canary(self) -> None:
+        if self.broker.canary is not None:
+            raise RuntimeError(
+                "a canary is in flight; wait for it to promote or "
+                "roll back before mutating again"
+            )
 
     def mutate_canary(
         self,
@@ -393,8 +387,7 @@ class ServingService:
         remove: Iterable[Sequence] = (),
         *,
         fraction: float | None = None,
-        inject_green_fault=None,
-    ):
+    ) -> Canary | None:
         """Apply graph edits as a blue-green canary instead of a swap.
 
         The edited snapshot (*green*) is built and warmed next to the
@@ -404,21 +397,18 @@ class ServingService:
         auto-promotes green (normal pointer swap) or auto-rolls back
         to blue when green's error rate or p95 regresses past the
         service thresholds. Returns the live ``Canary`` — poll
-        :meth:`canary_status` (or ``/status``) for its outcome.
-
-        ``inject_green_fault`` is a chaos hook: a callable invoked on
-        every green-side compute (raise to simulate a bad build).
-        Only one canary may be in flight at a time.
+        :meth:`canary_status` (or ``/status``) for its outcome — or
+        ``None`` when the batch has no net edit: then nothing is
+        built and no canary starts. Only one canary may be in flight
+        at a time, and no plain :meth:`mutate` runs beside it.
         """
         with self._canary_lock:
-            if self.broker.canary is not None:
-                raise RuntimeError(
-                    "a canary is already in flight; wait for it to "
-                    "promote or roll back before starting another"
-                )
+            self._refuse_during_canary()
             blue, green = self.snapshots.prepare_canary(
                 add=add, remove=remove
             )
+            if green is None:
+                return None
             canary = Canary(
                 blue,
                 green,
@@ -429,7 +419,6 @@ class ServingService:
                 max_error_delta=self.canary_max_error_delta,
                 max_p95_ratio=self.canary_max_p95_ratio,
             )
-            canary.inject_green_fault = inject_green_fault
 
             def settle(finish, snapshot) -> None:
                 finish(snapshot)
@@ -507,7 +496,6 @@ class ServingService:
                 "queue_depth": self.broker.queue_depth,
                 "shed": self.broker.stats.shed,
                 "deadline_expired": self.broker.stats.deadline_expired,
-                "breaker": self.cluster.breakers.describe(),
                 "canary": self.canary_status(),
             },
             "observability": self.observability.describe(),

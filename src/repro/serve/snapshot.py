@@ -645,7 +645,7 @@ class SnapshotManager:
         self,
         add: Iterable[Sequence] = (),
         remove: Iterable[Sequence] = (),
-    ) -> tuple[Snapshot, Snapshot]:
+    ) -> tuple[Snapshot, Snapshot | None]:
         """Build a green candidate beside the serving blue snapshot.
 
         The blue-green variant of :meth:`mutate`: the edited graph's
@@ -654,6 +654,9 @@ class SnapshotManager:
         Returns ``(blue, green)``; the caller
         (the serving service) shifts a traffic fraction to green and
         later calls :meth:`promote_canary` or :meth:`rollback_canary`.
+        A batch with no net edit returns ``(blue, None)``, as
+        :meth:`mutate` returns the current snapshot: nothing is built
+        and no generation number is used.
 
         Raises (building nothing servable) if any edit is invalid,
         exactly like :meth:`mutate`.
@@ -668,6 +671,8 @@ class SnapshotManager:
             eff_add, eff_rem = self._effective_edits(
                 base.graph, add_ids, remove_ids
             )
+            if not eff_add and not eff_rem:
+                return base, None
             graph = base.graph.copy_with_edits(eff_add, eff_rem)
             engine, depth = self._engine_for(graph)
             self._warm(engine)

@@ -155,4 +155,4 @@ def test_status_cli_shows_the_budget_next_to_workers():
         "cache": None, "config": {}, "snapshots": {},
         "cluster": {"pool": {"workers": 2, "blas_threads": 1}},
     })
-    assert "workers=2 (alive=0) blas_threads=1" in text
+    assert "workers=2 blas_threads=1" in text

@@ -1,8 +1,9 @@
-"""Tests for the guard layer: shedding, deadlines, breaker, canary."""
+"""Tests for the guard layer: shedding, deadlines, canary."""
 
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -11,9 +12,7 @@ import pytest
 
 from repro.graph import figure1_citation_graph, random_digraph
 from repro.serve import (
-    BreakerBoard,
     Canary,
-    CircuitBreaker,
     DeadlineExceeded,
     Overloaded,
     ServingService,
@@ -33,95 +32,25 @@ def make_service(graph=None, **kwargs):
     return ServingService(graph, **kwargs)
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, clock=clock)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_restores_or_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            threshold=1, cooldown_s=5.0, clock=clock
-        )
-        breaker.record_failure()
-        assert not breaker.allow()          # open, inside cooldown
-        clock.now += 5.1
-        assert breaker.allow()              # the half-open probe
-        assert breaker.state == "half_open"
-        assert not breaker.allow()          # only one probe at a time
-        breaker.record_failure()            # probe failed -> reopen
-        assert breaker.state == "open"
-        clock.now += 5.1
-        assert breaker.allow()
-        breaker.record_success()            # probe passed -> restore
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_numeric_values_for_the_gauge(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, clock=clock)
-        assert breaker.value == 0
-        breaker.record_failure()
-        assert breaker.value == 2
-        clock.now += 10.0
-        breaker.allow()
-        assert breaker.value == 1
+async def until_decided(service, canary, timeout=10.0):
+    """Drive reads until ``canary`` is decided and the broker let go."""
+    loop = asyncio.get_running_loop()
+    stop = loop.time() + timeout
+    while service.broker.canary is not None and loop.time() < stop:
+        if canary.outcome is None:
+            await service.top_k("h", k=3)
+        else:
+            await asyncio.sleep(0.01)
+    return canary.outcome
 
 
-class TestBreakerBoard:
-    def test_counts_trips_restores_and_logs_transitions(self):
-        clock = FakeClock()
-        board = BreakerBoard(
-            2, threshold=1, cooldown_s=1.0, clock=clock
-        )
-        assert board.record_failure(0) is True      # opened
-        assert board.trips == 1
-        assert board.states()[0] == "open"
-        assert board.states()[1] == "closed"
-        clock.now += 1.1
-        assert board.allow(0)
-        board.record_success(0)
-        assert board.restores == 1
-        kinds = [
-            (row["from"], row["to"]) for row in board.transitions
-        ]
-        assert ("closed", "open") in kinds
-        assert ("open", "half_open") in kinds
-        assert ("half_open", "closed") in kinds
-        assert all(
-            row["worker"] == 0 for row in board.transitions
-        )
+def break_green(canary):
+    """Make the canary's green engine raise on every column read."""
 
-    def test_values_feed_the_labelled_gauge(self):
-        board = BreakerBoard(3, threshold=1, clock=FakeClock())
-        board.record_failure(2)
-        assert board.values() == [(0, 0), (1, 0), (2, 2)]
+    def broken(queries):
+        raise RuntimeError("forced bad green")
 
-    def test_fallbacks_are_counted(self):
-        board = BreakerBoard(1, threshold=1)
-        board.record_fallback()
-        board.record_fallback()
-        assert board.fallbacks == 2
+    canary.green.engine.columns = broken
 
 
 class TestLoadShedding:
@@ -234,6 +163,70 @@ class TestDeadlines:
         assert len(run(main())) == 3
 
 
+def post_top_k(url, payload):
+    """``POST /top_k``: its HTTP status and round-trip seconds."""
+    request = urllib.request.Request(
+        f"{url}/top_k", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    t0 = time.perf_counter()
+    try:
+        with urllib.request.urlopen(request, timeout=30) as reply:
+            reply.read()
+            code = reply.status
+    except urllib.error.HTTPError as exc:
+        exc.read()
+        code = exc.code
+    return code, time.perf_counter() - t0
+
+
+class TestHangBound:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocked_call_is_answered_by_its_deadline(self, workers):
+        """An engine call blocked for 3 s: its request (deadline 200 ms)
+        gets 504 in under 0.5 s, requests sent 0.3 s later get 200
+        without waiting for the block, and the batch counts as
+        abandoned."""
+        service = make_service(workers=workers, cache_entries=0)
+        engine = service.snapshots.current.engine
+        columns = engine.columns
+        release = threading.Event()
+
+        def blocking(queries):
+            if 0 in queries:
+                release.wait(3.0)
+            return columns(queries)
+
+        engine.columns = blocking
+        service.start_background()
+        server = serve_http(service, background=True)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                blocked = pool.submit(
+                    post_top_k, server.url,
+                    {"query": 0, "k": 3, "deadline_ms": 200},
+                )
+                time.sleep(0.3)
+                healthy = [
+                    pool.submit(
+                        post_top_k, server.url, {"query": q, "k": 3}
+                    )
+                    for q in (1, 2, 3)
+                ]
+                blocked_code, blocked_s = blocked.result()
+                answers = [future.result() for future in healthy]
+            abandoned = service.status()["broker"]["abandoned_batches"]
+        finally:
+            release.set()
+            server.stop()
+            service.close()
+        assert blocked_code == 504
+        assert blocked_s < 0.5
+        assert [code for code, _ in answers] == [200, 200, 200]
+        assert max(seconds for _, seconds in answers) < 1.0
+        assert abandoned == 1
+
+
 class TestCanaryLocal:
     def test_healthy_green_auto_promotes(self):
         service = make_service(
@@ -270,17 +263,13 @@ class TestCanaryLocal:
             canary_min_requests=4,
         )
 
-        def bad_green():
-            raise RuntimeError("forced bad green")
-
         async def main():
             async with service:
                 blue_seq = service.snapshots.current.seq
                 canary = service.mutate_canary(
-                    add=[("a", "h")],
-                    fraction=0.5,
-                    inject_green_fault=bad_green,
+                    add=[("a", "h")], fraction=0.5
                 )
+                break_green(canary)
                 for _ in range(80):
                     try:
                         await service.top_k("h", k=3)
@@ -312,6 +301,53 @@ class TestCanaryLocal:
 
         run(main())
 
+    def test_plain_write_during_a_canary_is_refused_not_lost(self):
+        """Figure 1, one worker: a write made while a canary runs used
+        to vanish when the canary (built from the older graph) was
+        promoted. It is refused instead, and lands once it is decided.
+        """
+        service = make_service(
+            graph=figure1_citation_graph(),
+            num_iterations=8,
+            cache_entries=0,
+            canary_min_requests=4,
+            workers=1,
+        )
+
+        async def main():
+            async with service:
+                canary = service.mutate_canary(
+                    add=[("c", "h")], fraction=1.0
+                )
+                with pytest.raises(RuntimeError, match="in flight"):
+                    service.mutate(add=[("a", "h")])
+                outcome = await until_decided(service, canary)
+                return outcome, service.mutate(add=[("a", "h")])
+
+        outcome, snapshot = run(main())
+        assert outcome == "promote"
+        assert service.snapshots.current is snapshot
+        labels = snapshot.graph.labels
+        edges = {(labels[u], labels[v]) for u, v in snapshot.graph.edges()}
+        assert {("c", "h"), ("a", "h")} <= edges
+
+    def test_no_op_canary_builds_nothing(self):
+        service = make_service(
+            graph=figure1_citation_graph(), num_iterations=8
+        )
+
+        async def main():
+            async with service:
+                # e -> h is already an edge: no net edit
+                canary = service.mutate_canary(add=[("e", "h")])
+                return canary, service.broker.canary
+
+        canary, live = run(main())
+        assert canary is None and live is None
+        assert service.snapshots.builds == 0
+        assert service.snapshots.current.seq == 0
+        assert service.snapshots.canary_prepares == 0
+
     def test_rolled_back_seq_is_never_reused(self):
         service = make_service(
             graph=figure1_citation_graph(),
@@ -320,16 +356,12 @@ class TestCanaryLocal:
             canary_min_requests=2,
         )
 
-        def bad_green():
-            raise RuntimeError("forced bad green")
-
         async def main():
             async with service:
                 canary = service.mutate_canary(
-                    add=[("a", "h")],
-                    fraction=1.0,
-                    inject_green_fault=bad_green,
+                    add=[("a", "h")], fraction=1.0
                 )
+                break_green(canary)
                 green_seq = canary.green.seq
                 for _ in range(40):
                     try:
@@ -376,9 +408,6 @@ class TestCanaryRetention:
             canary_min_requests=4,
         )
 
-        def bad_green():
-            raise RuntimeError("forced bad green")
-
         async def decide(canary):
             for _ in range(80):
                 try:
@@ -398,10 +427,9 @@ class TestCanaryRetention:
                 )
                 outcomes = [await decide(canary)]
                 canary = service.mutate_canary(
-                    add=[("b", "h")],
-                    fraction=0.5,
-                    inject_green_fault=bad_green,
+                    add=[("b", "h")], fraction=0.5
                 )
+                break_green(canary)
                 old.append(weakref.ref(canary.green.engine))
                 outcomes.append(await decide(canary))
                 del canary
@@ -484,59 +512,6 @@ class TestCanaryDecisions:
         assert canary.finalize("rollback") is False
         assert canary.decide() is None
         assert canary.outcome == "promote"
-
-
-class TestBreakerThroughRouter:
-    def test_kill_trips_fallback_answers_probe_restores(self):
-        service = make_service(
-            workers=2,
-            cache_entries=0,
-            breaker_threshold=1,
-            breaker_cooldown_s=0.2,
-        )
-
-        async def main():
-            async with service:
-                await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                service.cluster.pool.kill_worker(0)
-                # answered via the in-process fallback, not dropped
-                rankings = await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                assert all(len(r) == 3 for r in rankings)
-                board = service.cluster.breakers
-                assert board.trips >= 1
-                assert board.fallbacks >= 1
-                await asyncio.sleep(0.25)
-                await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                return board
-
-        board = run(main())
-        assert board.restores >= 1
-        assert set(board.states().values()) == {"closed"}
-
-    def test_breaker_states_surface_in_status_and_metrics(self):
-        service = make_service(
-            workers=2, breaker_threshold=1
-        )
-
-        async def main():
-            async with service:
-                await service.top_k(0, k=3)
-                status = service.status()
-                text = service.metrics_text()
-                return status, text
-
-        status, text = run(main())
-        breaker = status["guard"]["breaker"]
-        assert breaker["threshold"] == 1
-        assert breaker["states"] == {"0": "closed", "1": "closed"}
-        assert 'repro_breaker_state{worker="0"}' in text
-        assert "repro_breaker_trips_total" in text
 
 
 class TestGuardOverHTTP:
@@ -630,6 +605,12 @@ class TestGuardOverHTTP:
             return urllib.request.urlopen(request, timeout=60)
 
         try:
+            # no net edit: no canary, the current snapshot stands
+            with post_mutate(
+                {"add": [["e", "h"]], "canary": True}
+            ) as reply:
+                document = json.loads(reply.read())
+            assert document["snapshot"]["seq"] == 0
             with post_mutate(
                 {"add": [["a", "h"]], "canary": True,
                  "fraction": 0.5}
@@ -637,12 +618,15 @@ class TestGuardOverHTTP:
                 document = json.loads(reply.read())
             assert document["canary"]["fraction"] == 0.5
             assert document["canary"]["outcome"] is None
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                post_mutate(
-                    {"add": [["b", "h"]], "canary": True}
-                )
-            assert excinfo.value.code == 409
-            excinfo.value.read()
+            # while it is in flight, every other write is refused
+            for payload in (
+                {"add": [["b", "h"]], "canary": True},
+                {"add": [["b", "h"]]},
+            ):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post_mutate(payload)
+                assert excinfo.value.code == 409
+                excinfo.value.read()
         finally:
             server.stop()
             service.close()

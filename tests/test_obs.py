@@ -317,7 +317,7 @@ def test_trace_ids_echoed_in_shard_meta():
         assert workers == {0, 1}
 
         # per-worker series carry the bare worker index, like
-        # repro_shard_dispatch_seconds and repro_breaker_state
+        # repro_shard_dispatch_seconds
         for worker in ("0", "1"):
             assert (
                 f'repro_worker_shards_total{{worker="{worker}"}}'
