@@ -99,14 +99,13 @@ The serving hot paths are tuned for query volume; four knobs matter:
   (``np.argpartition``), so large graphs pay for the walk, not the
   sort.
 
-Benchmarks: ``python -m repro.bench`` runs the perf suite and writes
+Benchmarks: ``python -m repro.bench`` runs the kernel suite and writes
 ``BENCH_<tag>.json`` (per-case wall times, tracemalloc peaks, machine
 and workload metadata, derived speedups); ``--quick`` is the CI
-setting, ``--compare BENCH_baseline.json`` gates on regressions,
-``--list`` enumerates the registered cases, and ``--serve`` appends a
-serving load-generation run (throughput + p50/p95/p99 latency
-histograms) — see :mod:`repro.bench.runner` and
-:mod:`repro.bench.loadgen` for the schema and gate semantics.
+setting, ``--compare BENCH_baseline.json`` gates on regressions and
+``--list`` enumerates the registered cases — see
+:mod:`repro.bench.runner` for the schema and gate semantics. The
+serving system is measured end to end by ``perfbench/run.py``.
 
 Serving
 -------

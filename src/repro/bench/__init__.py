@@ -6,13 +6,13 @@ Two layers live here:
   (:class:`ExperimentResult`, shape checks) that reproduces the
   paper's figures;
 * :mod:`repro.bench.runner` — the *regression* harness behind
-  ``python -m repro.bench``: named cases, warmup/repeat timing,
-  ``BENCH_<tag>.json`` output, and a compare gate for CI;
-* :mod:`repro.bench.loadgen` — the *serving* load generator
-  (``python -m repro.bench --serve``): concurrent client streams
-  against a :class:`repro.serve.ServingService`, throughput and
-  p50/p95/p99 latency histograms vs a sequential per-request
-  baseline.
+  ``python -m repro.bench``: named kernel cases, warmup/repeat timing,
+  ``BENCH_<tag>.json`` output, and a compare gate for CI, plus the
+  worker-scaling case (:mod:`repro.bench.cluster`) and the change-point
+  gate over the committed BENCH series (:mod:`repro.bench.signal`).
+
+The serving system is measured end to end by ``perfbench/run.py``,
+not here.
 """
 
 from repro.bench.harness import (
@@ -20,7 +20,6 @@ from repro.bench.harness import (
     format_table,
     timed,
 )
-from repro.bench.loadgen import LatencyStats, run_serving_load
 from repro.bench.memory import measure_peak_memory
 from repro.bench.runner import (
     BenchCase,
@@ -36,12 +35,10 @@ __all__ = [
     "BenchRun",
     "CaseResult",
     "ExperimentResult",
-    "LatencyStats",
     "compare_runs",
     "default_suite",
     "format_table",
     "measure_peak_memory",
-    "run_serving_load",
     "run_suite",
     "timed",
 ]

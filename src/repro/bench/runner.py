@@ -21,7 +21,6 @@ Two kinds of gate are applied when comparing:
 from __future__ import annotations
 
 import json
-import os
 import platform
 import re
 import sys
@@ -46,14 +45,14 @@ GATED_SPEEDUPS = (
     "speedup_engine_batch_vs_loop",
     "speedup_index_load_vs_rebuild",
     "speedup_workers_4_vs_1",
-    "speedup_approx_vs_exact",
 )
 
 #: ``speedup_workers_<b>_vs_<a>`` ratios (``python -m repro.bench
 #: --cluster``) are machine-independent only when the machine can
 #: actually run the larger worker count in parallel, so their floor
-#: applies only when the *current* run's ``machine.cpu_count`` is at
-#: least ``b``; on smaller machines they are reported un-gated.
+#: applies only when the *current* run's ``machine.cpu_count`` (the
+#: cores the process may run on) is at least ``b``; with fewer they
+#: are reported un-gated.
 _WORKER_SPEEDUP = re.compile(r"^speedup_workers_(\d+)_vs_(\d+)$")
 
 __all__ = [
@@ -176,13 +175,15 @@ class BenchRun:
 def machine_info() -> dict:
     import scipy
 
+    from repro.cluster.blas import usable_cores
+
     info = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cores(),
     }
     try:
         import resource
@@ -470,8 +471,8 @@ def compare_runs(
     real regression, and the relative speedup floors still cover the
     hot paths. Worker-scaling speedups
     (``speedup_workers_<b>_vs_<a>``) are additionally gated only when
-    the current run's machine has at least ``b`` CPUs — a 1-core
-    machine cannot exhibit 4-worker parallelism, and pretending its
+    the current run could use at least ``b`` CPUs — a process pinned
+    to one core cannot exhibit 4-worker parallelism, and pretending its
     ratio is a regression would make the gate machine-*dependent*.
     """
     ok = True

@@ -30,8 +30,9 @@ cores.
 
 Wired into the serving layer as ``ServingService(graph, workers=K)``
 and ``python -m repro.serve serve --workers K``; scaling is measured
-by ``python -m repro.bench --cluster`` (the ``speedup_workers_4_vs_1``
-gate).
+by ``python -m repro.bench --cluster`` (:mod:`repro.bench.cluster`,
+the ``speedup_workers_4_vs_1`` gate, armed when the process may run
+on at least 4 cores).
 
 End to end, one worker, eleven nodes (the paper's Figure 1 graph):
 

@@ -29,7 +29,7 @@ applies an edge batch *to the artifacts themselves*:
 Values are computed with the same operations (``np.divide`` of the
 same operands, the same CSR kernels) as a fresh build, so delta-path
 scores are **bit-identical** to a from-scratch rebuild — the property
-the parity suite asserts and the bench ``--mutate`` tier gates.
+the parity suite asserts, down to two serving snapshot managers.
 
 Mutations persist as ``delta-<seq>.simidx`` segments: the shared
 container format (checksummed array table) carrying only the edge

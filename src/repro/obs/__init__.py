@@ -17,9 +17,9 @@ The observability layer of the serving stack (PR 8). Three pieces:
 
 Instrumentation is opt-out (``ServingService(telemetry=False)``): the
 :class:`NullObservability` variant exposes the same attribute surface
-as no-ops, so the hot path stays branch-free either way. The
-``telemetry_overhead`` bench tier gates the enabled-vs-disabled p50
-cost.
+as no-ops, so the hot path stays branch-free either way. No maintained
+tool measures the enabled-vs-disabled cost at present (see
+``docs/observability.md``).
 
 >>> from repro.graph import figure1_citation_graph
 >>> from repro.serve import ServingService
@@ -38,6 +38,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LatencyStats,
     MetricsRegistry,
 )
 from repro.obs.trace import SlowQueryLog, Span, Trace, Tracer
@@ -47,6 +48,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "LatencyStats",
     "MetricsRegistry",
     "NullObservability",
     "Observability",

@@ -10,6 +10,10 @@ Three metric families cover the serving stack:
 * :class:`Histogram` — fixed-bucket latency/size distribution with
   cumulative ``_bucket{le=...}`` counts plus ``_sum`` / ``_count``.
 
+:class:`LatencyStats` summarises a finished run's latencies instead
+(percentiles and a log-bucketed histogram) for the smoke and chaos
+reports and the cluster bench.
+
 Two design points matter at serving rates:
 
 * **Allocation-light hot path.** ``inc()`` / ``observe()`` are a
@@ -40,13 +44,18 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "LATENCY_BUCKETS_MS",
+    "LatencyStats",
     "MetricsRegistry",
 ]
 
@@ -55,6 +64,13 @@ __all__ = [
 DEFAULT_LATENCY_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+)
+
+#: Upper edges (ms) of :class:`LatencyStats`' log-spaced buckets; the
+#: final implicit bucket is "slower than the last edge".
+LATENCY_BUCKETS_MS = (
+    0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
+    128.0, 256.0, 512.0, 1024.0,
 )
 
 _NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:"
@@ -290,6 +306,55 @@ class Histogram(_Metric):
             rows.append(("_sum", dict(labels), float(total)))
             rows.append(("_count", dict(labels), float(count)))
         return rows
+
+
+@dataclass(frozen=True)
+class LatencyStats:
+    """Percentiles and a log-bucketed histogram of request latencies.
+
+    >>> from repro.obs import LatencyStats
+    >>> stats = LatencyStats.from_seconds([0.001, 0.002, 0.004, 0.1])
+    >>> stats.count, stats.max_ms
+    (4, 100.0)
+    >>> stats.histogram["<2ms"], stats.histogram["<128ms"]
+    (1, 1)
+    """
+
+    count: int
+    mean_ms: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    max_ms: float
+    histogram: dict
+
+    @classmethod
+    def from_seconds(cls, seconds: Sequence[float]) -> "LatencyStats":
+        if not len(seconds):
+            raise ValueError("no latency samples")
+        ms = np.asarray(seconds, dtype=np.float64) * 1e3
+        edges = np.asarray(LATENCY_BUCKETS_MS)
+        counts = np.histogram(
+            ms, bins=np.concatenate(([0.0], edges, [np.inf]))
+        )[0]
+        # numpy bins are half-open [a, b): label them accordingly
+        histogram = {
+            f"<{edge:g}ms": int(counts[i])
+            for i, edge in enumerate(edges)
+        }
+        histogram[f">={edges[-1]:g}ms"] = int(counts[-1])
+        return cls(
+            count=int(ms.size),
+            mean_ms=float(ms.mean()),
+            p50_ms=float(np.percentile(ms, 50)),
+            p95_ms=float(np.percentile(ms, 95)),
+            p99_ms=float(np.percentile(ms, 99)),
+            max_ms=float(ms.max()),
+            histogram=histogram,
+        )
+
+    def to_dict(self) -> dict:
+        return dict(self.__dict__)
 
 
 class _CallbackMetric:

@@ -65,6 +65,7 @@ from repro.cliopts import (
     build_graph,
     config_from_args,
 )
+from repro.obs.metrics import LatencyStats
 from repro.serve.http import serve_http
 from repro.serve.service import ServingService
 
@@ -578,8 +579,6 @@ def smoke_exit_code(checks: dict, failures: list) -> int:
 
 
 def _cmd_smoke(args) -> int:
-    from repro.bench.loadgen import LatencyStats
-
     service = _build_service(args)
     service.start_background()
     service.warmup()

@@ -48,6 +48,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.graph.generators import random_digraph
+from repro.obs.metrics import LatencyStats
 from repro.serve.http import serve_http
 from repro.serve.service import ServingService
 
@@ -332,8 +333,6 @@ def run_drill(
         status = service.status()
         server.stop()
         service.close()
-
-    from repro.bench.loadgen import LatencyStats
 
     stats = LatencyStats.from_seconds(latencies)
     accounted = sum(counts[key] for key in outcomes if key != "error")

@@ -97,9 +97,7 @@ class ServingService:
         per-request traces, pull-time callback series over every
         layer's stats, and the ``/metrics`` Prometheus exposition
         (:meth:`metrics_text`). ``False`` swaps in the no-op
-        :class:`~repro.obs.NullObservability` (the
-        ``telemetry_overhead`` bench tier gates the difference at
-        < 5% p50).
+        :class:`~repro.obs.NullObservability`.
     max_queue_depth:
         Load-shedding bound on the broker's admission queue: a request
         arriving while ``max_queue_depth`` requests are already queued

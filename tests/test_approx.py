@@ -6,12 +6,13 @@ Four concerns, mirroring the subsystem's layers:
   invariants, and ``.simidx`` round-trips (including corrupt and
   truncated walk segments being rejected cleanly);
 * **estimator quality** — precision@k against the exact kernels on
-  the citation datasets at the default epsilon, and bit-for-bit
-  seed-reproducibility of the estimates;
+  the citation datasets and on scale-free graphs of 2,000 and 10,000
+  nodes at the default epsilon, and bit-for-bit seed-reproducibility
+  of the estimates;
 * **engine/config routing** — ``mode="approx"`` validation and the
   engine serving columns and rankings through the estimator;
-* **surfaces** — serve ``/status`` approx stats and the
-  ``run_approx_compare`` bench document.
+* **surfaces** — serve ``/status`` approx stats and the scale-free
+  generator.
 """
 
 from __future__ import annotations
@@ -201,6 +202,17 @@ def test_samples_for_epsilon_policy():
 # ---------------------------------------------------------------------------
 # estimator quality
 # ---------------------------------------------------------------------------
+def _precision_at_10(exact, approx, queries) -> float:
+    hits = sum(
+        len(
+            set(exact.top_k(q, k=10).nodes)
+            & set(approx.top_k(q, k=10).nodes)
+        )
+        for q in queries
+    )
+    return hits / (10 * len(queries))
+
+
 @pytest.mark.parametrize("papers, seed", [(1200, 3), (800, 7)])
 def test_precision_at_10_on_citation_datasets(papers, seed):
     """Default-epsilon approx ranks >= 0.9 precision@10 vs exact."""
@@ -216,14 +228,30 @@ def test_precision_at_10_on_citation_datasets(papers, seed):
         int(q)
         for q in rng.choice(graph.num_nodes, 15, replace=False)
     ]
-    hits = sum(
-        len(
-            set(exact.top_k(q, k=10).nodes)
-            & set(approx.top_k(q, k=10).nodes)
-        )
-        for q in queries
+    assert _precision_at_10(exact, approx, queries) >= 0.9
+
+
+@pytest.mark.parametrize("nodes", [2_000, 10_000])
+def test_precision_at_10_on_scale_free_graphs(nodes):
+    """The same floor on hub-skewed queries over a scale-free graph."""
+    graph = scale_free_graph(nodes, avg_out_degree=16, seed=42)
+    exact = SimilarityEngine(
+        graph, SimilarityConfig(measure="gSR*", num_iterations=8)
     )
-    assert hits / (10 * len(queries)) >= 0.9
+    approx = SimilarityEngine(
+        graph, exact.config.replace(mode="approx", seed=42)
+    )
+    # 4 of the 64 highest in-degrees (the traffic magnets), 4 uniform
+    rng = np.random.default_rng(42)
+    head = np.argsort(graph.in_degrees())[::-1][:64]
+    queries = [
+        int(q)
+        for q in (
+            *rng.choice(head, size=4, replace=False),
+            *rng.choice(graph.num_nodes, size=4, replace=False),
+        )
+    ]
+    assert _precision_at_10(exact, approx, queries) >= 0.9
 
 
 def test_estimates_are_seed_reproducible():
@@ -442,7 +470,7 @@ def test_truncated_walk_segment_is_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# surfaces: serve status + bench document + scale-free generator
+# surfaces: serve status + scale-free generator
 # ---------------------------------------------------------------------------
 def test_serve_status_reports_approx_section():
     from repro.serve.service import ServingService
@@ -481,22 +509,3 @@ def test_scale_free_generator_validates_arguments():
         scale_free_graph(10, avg_out_degree=0.0)
     with pytest.raises(ValueError):
         scale_free_graph(10, pa_bias=1.0)
-
-
-def test_run_approx_compare_document_shape():
-    from repro.bench.approx import run_approx_compare
-
-    document = run_approx_compare(
-        node_counts=(300, 600),
-        queries=4,
-        precision_floor=0.0,
-        speedup_floor=None,
-    )
-    assert set(document["scales"]) == {"300", "600"}
-    largest = document["scales"]["600"]
-    assert largest["approx"]["walk_index_bytes"] > 0
-    assert 0.0 <= largest["precision_at_k"] <= 1.0
-    assert document["speedup_key"] == "speedup_approx_vs_exact"
-    assert document["speedup_approx_vs_exact"] == largest["speedup"]
-    assert document["checks"]["precision_at_k"] is True
-    assert "speedup_at_largest_scale" not in document["checks"]

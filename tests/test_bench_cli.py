@@ -1,11 +1,12 @@
 """Tests for the ``python -m repro.bench`` regression harness."""
 
 import json
+import os
 
 import pytest
 
 from repro.bench import BenchCase, compare_runs, run_suite
-from repro.bench.runner import run_case
+from repro.bench.runner import machine_info, run_case
 from repro.bench.__main__ import main
 
 # A workload small enough for the test suite; the CLI structure is the
@@ -162,6 +163,25 @@ class TestRunner:
         )
         assert not ok
 
+    def test_machine_info_counts_the_cores_the_process_may_use(
+        self, monkeypatch
+    ):
+        # a 4-core host that pins the job to one core: the worker
+        # scaling floor must see one CPU and stay unarmed
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        machine = machine_info()
+        assert machine["cpu_count"] == 1
+        pinned = {
+            "machine": machine,
+            "derived": {"speedup_workers_4_vs_1": 1.0},
+        }
+        ok, lines = compare_runs(pinned, {"results": {}})
+        assert ok
+        assert "not gated" in lines[0]
+
 
 class TestListFlag:
     def test_list_enumerates_cases_without_running(self, tmp_path, capsys):
@@ -172,7 +192,7 @@ class TestListFlag:
             "build_transition",
             "batch_blocked_kernel",
             "engine_batch_top_k",
-            "serving_load",
+            "cluster_scaling",
         ):
             assert case in out
         # nothing was written
@@ -183,44 +203,3 @@ class TestListFlag:
         code = main(["--list", "--tag", "x", "--output", str(out_file)])
         assert code == 0
         assert not out_file.exists()
-
-
-class TestServingLoad:
-    def test_serve_flag_embeds_serving_document(self, tmp_path, capsys):
-        code, out = run_tiny(
-            tmp_path, "--serve", "--clients", "4",
-            "--requests-per-client", "2", "--max-wait-ms", "1.0",
-        )
-        assert code == 0
-        document = json.loads(out.read_text())
-        serving = document["serving"]
-        assert serving["params"]["clients"] == 4
-        assert serving["params"]["total_requests"] == 8
-        assert serving["sequential"]["requests_per_second"] > 0
-        assert serving["coalesced"]["requests_per_second"] > 0
-        assert serving["speedup_throughput"] > 0
-        latency = serving["coalesced"]["latency"]
-        assert latency["count"] == 8
-        assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
-        assert sum(latency["histogram"].values()) == 8
-        assert serving["broker"]["dispatched"] >= 8
-
-    def test_loadgen_latency_stats(self):
-        from repro.bench.loadgen import LatencyStats
-
-        stats = LatencyStats.from_seconds(
-            [0.001, 0.002, 0.004, 0.1]
-        )
-        assert stats.count == 4
-        assert stats.p50_ms <= stats.p95_ms <= stats.p99_ms
-        assert stats.max_ms == pytest.approx(100.0)
-        assert sum(stats.histogram.values()) == 4
-        assert stats.histogram["<2ms"] == 1     # the 1.0 ms sample
-        assert stats.histogram["<4ms"] == 1     # the 2.0 ms sample
-        assert stats.histogram["<128ms"] == 1   # the 100 ms sample
-
-    def test_loadgen_rejects_empty_samples(self):
-        from repro.bench.loadgen import LatencyStats
-
-        with pytest.raises(ValueError):
-            LatencyStats.from_seconds([])

@@ -403,6 +403,42 @@ class TestSnapshotManagerDelta:
             oracle.current.engine.single_source(q),
         )
 
+    def test_delta_maintenance_matches_rebuild_byte_for_byte(self):
+        # one warm-up batch and three more, each swapping 1% of the
+        # edges, through a delta-maintained manager and one that
+        # rebuilds on every swap
+        graph = scale_free_graph(1_000, avg_out_degree=16, seed=42)
+        rng = np.random.default_rng(43)
+        plan, edited = [], graph
+        for _ in range(4):
+            add, remove = _random_batch(
+                edited, rng, max(1, int(edited.num_edges * 0.01))
+            )
+            plan.append((add, remove))
+            edited = edited.copy_with_edits(add, remove)
+        sample = [
+            int(q) for q in np.random.default_rng(44).choice(
+                graph.num_nodes, size=8, replace=False
+            )
+        ]
+        columns, delta = {}, {}
+        for name, kwargs in (
+            ("delta", {}), ("rebuild", {"max_delta_fraction": 0}),
+        ):
+            manager = SnapshotManager(
+                graph, measure="memo-gSR*", num_iterations=8, **kwargs
+            )
+            manager.warmup()
+            for add, remove in plan:
+                manager.mutate(add=add, remove=remove)
+            delta[name] = manager.describe()["delta"]
+            columns[name] = manager.current.engine.columns(sample)
+        assert delta["delta"]["swaps"] == 4
+        assert delta["delta"]["fallbacks"] == 0
+        assert delta["rebuild"]["swaps"] == 0
+        for q in sample:
+            assert np.array_equal(columns["delta"][q], columns["rebuild"][q])
+
     def test_oversized_batch_falls_back_to_full(self):
         graph = random_digraph(30, 120, seed=17)
         manager = self._manager(graph, max_delta_fraction=0.01)

@@ -13,7 +13,8 @@ Five enforcement layers keep the docs from rotting:
   real heading in its target.
 * **CLI reference check** — every flag of every
   ``python -m repro.serve`` / ``repro.index`` / ``repro.bench``
-  subcommand must be documented in ``docs/operations.md`` (so help
+  subcommand must be documented in ``docs/operations.md``, and every
+  flag its tables list must be accepted by that subcommand (so help
   text and the runbook cannot drift apart).
 * **metric catalog check** — every series a running service exposes
   at ``/metrics`` must be named in ``docs/observability.md``.
@@ -292,10 +293,8 @@ def test_every_cli_flag_is_documented_in_operations():
 
     This is the anti-drift direction that matters operationally: a
     flag that exists but is undocumented is invisible to operators.
-    (The reverse — documented but nonexistent — is covered by the
-    flags below being collected from the live parsers, so a removed
-    flag fails here the moment the docs still mention... the doc
-    update that removes it from the parser table.)
+    The reverse, a documented flag that no parser accepts, is
+    :func:`test_every_documented_flag_is_accepted`.
     """
     operations = (REPO / "docs" / "operations.md").read_text()
     missing = sorted(
@@ -308,6 +307,52 @@ def test_every_cli_flag_is_documented_in_operations():
     assert not missing, (
         "CLI flags accepted by the parsers but absent from "
         "docs/operations.md:\n  " + "\n  ".join(missing)
+    )
+
+
+def _documented_flags():
+    """``(cli, subcommand, flag)`` for every flag a row of a flag table
+    under a ``### `python -m repro.X``` heading in docs/operations.md
+    names (subcommand ``"(top level)"`` for a table without a
+    subcommand column)."""
+    cli, header = None, None
+    for line in (REPO / "docs" / "operations.md").read_text().splitlines():
+        if line.startswith("#"):
+            heading = re.match(r"#+ `python -m (repro\.\w+)`$", line)
+            cli = heading.group(1) if heading else None
+            continue
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if header is None:
+            header = cells
+            continue
+        if cli is None or header[0] != "flag":
+            continue
+        subs = ["(top level)"]
+        if "subcommand" in header:
+            column = cells[header.index("subcommand")]
+            subs = [sub.strip() for sub in column.split(",")]
+        for flag in re.findall(r"`(--[\w-]+)", cells[0]):
+            for sub in subs:
+                yield cli, sub, flag
+
+
+def test_every_documented_flag_is_accepted():
+    """Every flag docs/operations.md lists must exist in its parser."""
+    accepted = set(_cli_surface())
+    documented = set(_documented_flags())
+    assert {cli for cli, _, _ in documented} == {
+        "repro.serve", "repro.index", "repro.bench"
+    }
+    stale = sorted(
+        f"{cli} {sub}: {flag}"
+        for cli, sub, flag in documented - accepted
+    )
+    assert not stale, (
+        "flags documented in docs/operations.md that the parsers do "
+        "not accept:\n  " + "\n  ".join(stale)
     )
 
 

@@ -2,8 +2,8 @@
 
 Covers the Prometheus exposition format, histogram invariants, the
 tracing pipeline end to end (including trace ids echoed by the worker
-threads), slow-query log bounding, the per-worker series, and the
-E-Divisive change-point gate.
+threads), slow-query log bounding, offline latency summaries, the
+per-worker series, and the E-Divisive change-point gate.
 """
 
 from __future__ import annotations
@@ -205,6 +205,31 @@ def test_slow_query_log_rotates_once_and_bounds_disk(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert json.loads(lines[-1])["trace_id"] == "0049"
     json.loads(rotated.read_text().strip().splitlines()[-1])
+
+
+# ---------------------------------------------------------------------------
+# offline latency summaries (smoke and chaos reports, cluster bench)
+# ---------------------------------------------------------------------------
+class TestLatencyStats:
+    def test_loadgen_latency_stats(self):
+        from repro.obs.metrics import LatencyStats
+
+        stats = LatencyStats.from_seconds(
+            [0.001, 0.002, 0.004, 0.1]
+        )
+        assert stats.count == 4
+        assert stats.p50_ms <= stats.p95_ms <= stats.p99_ms
+        assert stats.max_ms == pytest.approx(100.0)
+        assert sum(stats.histogram.values()) == 4
+        assert stats.histogram["<2ms"] == 1     # the 1.0 ms sample
+        assert stats.histogram["<4ms"] == 1     # the 2.0 ms sample
+        assert stats.histogram["<128ms"] == 1   # the 100 ms sample
+
+    def test_loadgen_rejects_empty_samples(self):
+        from repro.obs.metrics import LatencyStats
+
+        with pytest.raises(ValueError):
+            LatencyStats.from_seconds([])
 
 
 # ---------------------------------------------------------------------------
