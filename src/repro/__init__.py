@@ -133,10 +133,9 @@ Over HTTP (stdlib only)::
 
 ``python -m repro.serve smoke`` is the self-contained serving health
 check (concurrent clients, coalescing assertions, latency histogram);
-``examples/serving_demo.py`` walks all three mechanisms. For
-sustained distinct-query traffic, bound the engine's LRU column memo
-with ``SimilarityConfig.max_cached_columns`` — the serving CLI
-defaults to 4096.
+``examples/serving_demo.py`` walks all three mechanisms. The result
+cache is the one serving cache: served columns skip the engine's
+column memo, so serving memory does not grow with distinct queries.
 
 Scale-out
 ---------

@@ -7,8 +7,8 @@ transport at all: each shard runs on the router's dispatch thread
 against the engine of the snapshot its batch read, and returns
 finished answers. Every single-source column is an independent solve
 over one read-only operator, so the threads share the engine's
-artifacts *and* its column memo; the engine computes outside its
-lock and never computes one column twice.
+artifacts but not its column memo, which served reads skip; the engine
+computes outside its lock, never one column twice at once.
 
 A *lane* is one worker's slot in the pool. It holds no engine, only
 its counters. A shard that raises fails only its own tasks (see

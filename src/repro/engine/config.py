@@ -90,11 +90,11 @@ class SimilarityConfig:
         builders and every kernel that supports it; measures without
         dtype support silently serve ``float64``.
     max_cached_columns:
-        Upper bound on the engine's per-query column memo. ``None``
-        (default) keeps every column ever computed — fine for batch
-        analytics, unbounded growth under sustained distinct-query
-        serving traffic. With a bound set, the memo evicts the least
-        recently served column and counts evictions in
+        Upper bound on the engine's per-query column memo, filled by
+        library reads (``single_source``, ``top_k``, ``columns()``, ...)
+        and skipped by served ones. ``None`` (default) keeps every
+        column ever computed. With a bound set, the memo evicts the
+        least recently served column and counts evictions in
         ``EngineStats.column_evictions``.
     column_policy:
         Accepts only ``"lru"``, the memo's one eviction order. The

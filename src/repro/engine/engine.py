@@ -250,7 +250,7 @@ class SimilarityEngine:
         """An engine serving ``graph`` from a prebuilt index.
 
         With no explicit ``config`` the index's own recorded
-        configuration is used (serving-only overrides such as
+        configuration is used (memo overrides such as
         ``max_cached_columns`` may still be passed), so the common
         restart path is just::
 
@@ -592,14 +592,21 @@ class SimilarityEngine:
         q = self._resolve(query)
         return self.columns((q,))[q]
 
-    def columns(self, queries: Sequence) -> Mapping[int, np.ndarray]:
-        """Memoized score columns for many queries, resolved-id keyed.
+    def columns(
+        self, queries: Sequence, *, memoize: bool = True
+    ) -> Mapping[int, np.ndarray]:
+        """Score columns for many queries, resolved-id keyed.
 
         The serving primitive: all fresh (un-memoized) query columns
         are evaluated together through one blocked multi-source walk,
         memoized ones come from the column memo, and the returned
         dict holds every requested column even when the memo's bound
         forces same-batch evictions. Duplicate queries collapse.
+
+        ``memoize=False`` leaves fresh columns out of the memo (the
+        serving path, :func:`~repro.engine.results.run_tasks`, whose
+        repeats the result cache answers); lookups, the single flight
+        below and the hit / miss / compute counts are unchanged.
 
         Thread-safe, and built for worker threads sharing one engine:
         the memo lookups and bookkeeping run under the engine lock,
@@ -649,7 +656,8 @@ class SimilarityEngine:
                 with self._lock:
                     for q, scores in computed.items():
                         scores.flags.writeable = False
-                        caches.columns.put(q, scores)
+                        if memoize:
+                            caches.columns.put(q, scores)
                         caches.inflight.pop(q, None)
                     if not from_matrix:
                         self.stats.column_computes += len(computed)
@@ -672,8 +680,8 @@ class SimilarityEngine:
         """Series-walk the given fresh query columns in one blocked call.
 
         Pure compute, run outside the engine lock: ``queries`` are
-        distinct resolved ids, and :meth:`columns` memoizes and counts
-        what comes back.
+        distinct resolved ids, and :meth:`columns` counts (and, when
+        asked to, memoizes) what comes back.
         """
         block = _series_block(
             self._graph,

@@ -344,7 +344,8 @@ def run_tasks(engine, tasks) -> list:
     Each task is ``{"op": "top_k", "query": q, "k": k,
     "include_query": bool}`` or ``{"op": "score", "query": q, "u": u}``
     with node ids already resolved. The distinct queries share one
-    blocked :meth:`~repro.engine.SimilarityEngine.columns` call; each
+    blocked :meth:`~repro.engine.SimilarityEngine.columns` call with
+    ``memoize=False`` (a served column is dropped once answered); each
     task then becomes a finished :class:`Ranking` (labels and measure
     attached) or a float score. A task that fails on its own terms
     (e.g. a negative ``k``) yields its exception in its slot instead
@@ -367,7 +368,8 @@ def run_tasks(engine, tasks) -> list:
     (True, 'ValueError')
     """
     columns = engine.columns(
-        list(dict.fromkeys(int(t["query"]) for t in tasks))
+        list(dict.fromkeys(int(t["query"]) for t in tasks)),
+        memoize=False,
     )
     labels = engine.graph.labels
     measure = engine.measure.name

@@ -511,8 +511,8 @@ class SimilarityIndex:
     def similarity_config(self, **overrides) -> "SimilarityConfig":
         """A :class:`SimilarityConfig` this index is compatible with.
 
-        Serving-only knobs (``max_cached_columns``, ``column_policy``)
-        may be supplied as ``overrides`` without breaking
+        Memo knobs (``max_cached_columns``, ``column_policy``; library
+        reads only) may be supplied as ``overrides`` without breaking
         compatibility; overriding an artifact-relevant field simply
         produces a config :meth:`verify_compatible` will reject.
         """

@@ -389,12 +389,10 @@ class Observability:
         # counters, because a hot-swap replaces the engine and resets
         # them (documented in docs/observability.md)
         for field, help_text in (
-            ("hits", "Column-memo hits (current engine)."),
-            ("misses", "Column-memo misses (current engine)."),
+            ("hits", "Reads joining an in-flight compute (current engine)."),
+            ("misses", "Reads that started a compute (current engine)."),
             ("column_computes",
              "Fresh columns computed (current engine)."),
-            ("column_evictions",
-             "Column-memo evictions (current engine)."),
             ("transition_builds",
              "Transition-matrix builds (current engine)."),
             ("compression_builds",

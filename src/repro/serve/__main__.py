@@ -75,10 +75,6 @@ __all__ = ["build_parser", "main", "render_status", "smoke_exit_code"]
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     add_config_options(parser)
     parser.add_argument(
-        "--max-cached-columns", type=int, default=4096,
-        help="engine column-memo bound (default 4096; 0 = unbounded)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=32,
         help="broker micro-batch cap (default 32)",
     )
@@ -151,12 +147,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_service(args) -> ServingService:
-    config = config_from_args(args).replace(
-        max_cached_columns=args.max_cached_columns or None,
-    )
     return ServingService(
         build_graph(args),
-        config,
+        config_from_args(args),
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         cache_entries=args.cache_entries,
@@ -387,8 +380,8 @@ def render_status(document: dict) -> str:
     """A terminal-friendly summary of the ``/status`` document.
 
     Surfaces every caching layer's counters — result-cache hits /
-    misses / evictions and hit rate, the engine's artifact builds vs.
-    index adoptions and column-memo traffic, broker coalescing, and
+    misses / evictions and hit rate, the engine's column reads and
+    its artifact builds vs. index adoptions, broker coalescing, and
     the snapshot manager's hot-swap + persistent-index state.
     """
     config = document.get("config", {})
@@ -424,8 +417,7 @@ def render_status(document: dict) -> str:
         lines.append("result cache  disabled")
     lines.append(
         f"engine        column hits={engine.get('hits', 0)} "
-        f"misses={engine.get('misses', 0)} "
-        f"evictions={engine.get('column_evictions', 0)}; builds: "
+        f"misses={engine.get('misses', 0)}; builds: "
         f"transition={engine.get('transition_builds', 0)} "
         f"compression={engine.get('compression_builds', 0)} "
         f"matrix={engine.get('matrix_builds', 0)}; "

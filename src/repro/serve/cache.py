@@ -1,7 +1,7 @@
 """A versioned, bounded LRU cache for fully-formed query answers.
 
-The engine's column memo caches *score columns* inside one engine;
-this cache sits a layer above and caches *rendered answers* (rankings,
+The one serving cache: served reads skip the engine's column memo,
+and this cache answers repeats with *rendered answers* (rankings,
 pair scores) across snapshot swaps. Keys embed the serving snapshot's
 sequence number and the full similarity configuration, so an answer
 can never leak across a graph mutation or a config change: after a

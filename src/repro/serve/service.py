@@ -71,9 +71,9 @@ class ServingService:
         :class:`~repro.cluster.ShardRouter` over a
         :class:`~repro.cluster.ThreadWorkerPool`. Every shard answers
         from the engine of the snapshot its batch read — one engine
-        and one column memo per snapshot, whatever the count — so a
-        mutation is just the snapshot swap. ``0`` (default) starts
-        one worker per core the process may run on. While the
+        per snapshot, whatever the count, and served columns skip its
+        memo — so a mutation is just the snapshot swap. ``0`` (default)
+        starts one worker per core the process may run on. While the
         workers run, OpenBLAS is capped at ``max(1, cores //
         workers)`` threads, so the workers' BLAS calls never ask for
         more threads than there are cores. A batch that fits in one
@@ -447,11 +447,11 @@ class ServingService:
         """A JSON-ready status document (the ``/status`` endpoint).
 
         Every caching layer reports its counters: ``cache`` is the
-        rendered-answer :class:`~repro.serve.cache.ResultCache`
-        (hits / misses / evictions / entries / hit_rate), ``engine``
-        the current snapshot's
-        :class:`~repro.engine.engine.EngineStats` (artifact builds
-        vs. index adoptions, column memo hits / misses / evictions),
+        rendered-answer :class:`~repro.serve.cache.ResultCache`, the
+        one serving cache (hits / misses / evictions / entries /
+        hit_rate), ``engine`` the current snapshot's
+        :class:`~repro.engine.engine.EngineStats` (artifact builds vs.
+        index adoptions; column misses start a compute, hits join one),
         and ``snapshots`` the hot-swap and persistent-index counters.
         In approx mode an ``approx`` section adds the Monte-Carlo
         tier's walk geometry and estimator counters (columns, samples
@@ -469,8 +469,6 @@ class ServingService:
                 "epsilon": self.config.epsilon,
                 "weights": self.config.weights,
                 "dtype": self.config.dtype,
-                "max_cached_columns": self.config.max_cached_columns,
-                "column_policy": self.config.column_policy,
                 "mode": self.config.mode,
                 "seed": self.config.seed,
             },

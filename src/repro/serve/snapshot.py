@@ -686,9 +686,9 @@ class SnapshotManager:
     def promote_canary(self, green: Snapshot) -> Snapshot:
         """Make the green candidate the serving snapshot.
 
-        Flips the pointer to green — whose engine, warmed by the
-        canary's traffic, keeps serving — and persists its index; from
-        here on this is exactly a completed :meth:`mutate`.
+        Flips the pointer to green — whose engine, built and warmed by
+        :meth:`prepare_canary`, keeps serving — and persists its index;
+        from here on this is exactly a completed :meth:`mutate`.
         """
         with self._build_lock:
             commit_s = self._swap_pointer(green)

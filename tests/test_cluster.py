@@ -8,9 +8,11 @@ deliberately small graphs.
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,10 +134,10 @@ def test_raising_shard_fails_only_its_own_tasks(cluster_env):
     engine = snapshots.current.engine
     columns = engine.columns
 
-    def poisoned(queries):
+    def poisoned(queries, *args, **kwargs):
         if 2 in queries:
             raise RuntimeError("injected kernel failure")
-        return columns(queries)
+        return columns(queries, *args, **kwargs)
 
     engine.columns = poisoned
     router = ShardRouter(ThreadWorkerPool(workers=2))
@@ -152,10 +154,11 @@ def test_raising_shard_fails_only_its_own_tasks(cluster_env):
 
 
 # ---------------------------------------------------------------------------
-# one engine per snapshot: workers share its artifacts, memo and stats
+# one engine per snapshot: workers share its artifacts and stats
 # ---------------------------------------------------------------------------
-def serve_reads(config, workers, reads, *, concurrent=True):
-    """Serve ``reads`` through a fresh service; its /status document."""
+def serve_reads(config, workers, reads):
+    """Serve ``reads`` concurrently through a fresh service; its
+    /status document."""
     graph = random_digraph(120, 600, seed=29)
 
     async def drive():
@@ -163,13 +166,7 @@ def serve_reads(config, workers, reads, *, concurrent=True):
             graph, config, workers=workers, cache_entries=0,
             telemetry=False,
         ) as service:
-            if concurrent:
-                await asyncio.gather(
-                    *(service.top_k(q, k=5) for q in reads)
-                )
-            else:
-                for q in reads:
-                    await service.top_k(q, k=5)
+            await asyncio.gather(*(service.top_k(q, k=5) for q in reads))
             return service.status()
 
     return asyncio.run(drive())
@@ -193,13 +190,75 @@ def test_worker_reads_count_in_the_snapshot_engine(mode):
 
 
 def test_one_compute_per_column_across_workers():
-    """Four reads of one query, rotated over two workers: one compute."""
-    status = serve_reads(CONFIG, 2, [7, 7, 7, 7], concurrent=False)
-    served = [w["shards_served"] for w in status["cluster"]["worker_status"]]
-    assert served == [2, 2]
-    assert status["engine"]["column_computes"] == 1
-    assert status["engine"]["misses"] == 1
-    assert status["engine"]["hits"] == 3
+    """Two lanes reading one query at once compute it once: the lane
+    that comes second joins the first one's compute."""
+    snapshots = SnapshotManager(random_digraph(120, 600, seed=29), CONFIG)
+    engine = snapshots.current.engine
+    gate, entered = threading.Event(), threading.Event()
+    compute = engine._compute_columns
+
+    def gated_compute(queries):
+        entered.set()
+        gate.wait(5)
+        return compute(queries)
+
+    engine._compute_columns = gated_compute
+    router = ShardRouter(ThreadWorkerPool(workers=2))
+    router.start()
+    try:
+        with ThreadPoolExecutor(1) as caller:
+            # [7, 7] splits into one shard per lane
+            answer = caller.submit(
+                router.compute_tasks, snapshots.current, top_k_tasks([7, 7])
+            )
+            assert entered.wait(5)
+            deadline = time.monotonic() + 5
+            while engine.stats.hits < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the second lane has joined
+            gate.set()
+            first, second = answer.result(10)
+        served = [w["shards_served"] for w in router.pool.worker_status()]
+    finally:
+        gate.set()
+        router.stop()
+    assert served == [1, 1]
+    assert first.to_pairs() == second.to_pairs()
+    assert engine.stats.column_computes == 1
+    assert (engine.stats.misses, engine.stats.hits) == (1, 1)
+    assert len(engine._caches.columns) == 0  # served reads skip the memo
+
+
+@pytest.mark.parametrize(
+    "mode, nodes, edges",
+    [("exact", 20000, 100000), ("approx", 2000, 10000)],
+    ids=["exact", "approx"],
+)
+def test_serving_reads_hold_no_columns(mode, nodes, edges):
+    """128 distinct concurrent reads at workers=2 leave less than 16
+    dense columns' worth of numpy buffers behind: served columns are
+    dropped once answered, not kept in the engine's column memo."""
+    graph = random_digraph(nodes, edges, seed=37)
+    config = CONFIG.replace(mode=mode, seed=5)
+    # numpy's own trace domain: only array buffers, so the answers,
+    # traces and cache entries (O(k) per read, not O(n)) do not count
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    async def drive():
+        async with ServingService(graph, config, workers=2) as service:
+            await service.top_k(0, k=10)  # artifacts built before tracing
+            tracemalloc.start()
+            try:
+                await asyncio.gather(
+                    *(service.top_k(q, k=10) for q in range(1, 129))
+                )
+                gc.collect()
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+        return sum(t.size for t in snapshot.filter_traces([arrays]).traces)
+
+    held = asyncio.run(drive())
+    assert held < 16 * nodes * 8, f"{held / (nodes * 8):.1f} columns held"
 
 
 def test_one_engine_per_snapshot(monkeypatch):
@@ -228,7 +287,8 @@ def test_one_engine_per_snapshot(monkeypatch):
     assert fresh.engine.stats.column_computes == 1
 
 
-def test_inflight_column_is_computed_once():
+@pytest.mark.parametrize("memoize", [True, False])
+def test_inflight_column_is_computed_once(memoize):
     """A column another thread is computing is awaited, not redone."""
     engine = SimilarityEngine(random_digraph(60, 300, seed=33), CONFIG)
     gate, entered = threading.Event(), threading.Event()
@@ -240,10 +300,14 @@ def test_inflight_column_is_computed_once():
         return compute(queries)
 
     engine._compute_columns = slow_compute
-    first = threading.Thread(target=engine.columns, args=([4],))
+    first = threading.Thread(
+        target=engine.columns, args=([4],), kwargs={"memoize": memoize}
+    )
     first.start()
     assert entered.wait(5)
-    waiter = threading.Thread(target=engine.columns, args=([4, 5],))
+    waiter = threading.Thread(
+        target=engine.columns, args=([4, 5],), kwargs={"memoize": memoize}
+    )
     waiter.start()
     time.sleep(0.05)
     gate.set()
@@ -252,9 +316,12 @@ def test_inflight_column_is_computed_once():
         assert not thread.is_alive()
     assert engine.stats.column_computes == 2  # 4 once, 5 once
     assert (engine.stats.misses, engine.stats.hits) == (2, 1)
+    assert len(engine._caches.columns) == (2 if memoize else 0)
+    assert not engine._caches.inflight
 
 
-def test_failed_compute_reaches_its_waiters():
+@pytest.mark.parametrize("memoize", [True, False])
+def test_failed_compute_reaches_its_waiters(memoize):
     engine = SimilarityEngine(random_digraph(60, 300, seed=34), CONFIG)
     gate, entered = threading.Event(), threading.Event()
 
@@ -268,7 +335,7 @@ def test_failed_compute_reaches_its_waiters():
 
     def read():
         try:
-            engine.columns([4])
+            engine.columns([4], memoize=memoize)
         except RuntimeError as exc:
             errors.append(exc)
 
@@ -285,8 +352,9 @@ def test_failed_compute_reaches_its_waiters():
     assert [str(e) for e in errors] == ["injected kernel failure"] * 2
     # the failed claim is gone: the next read computes afresh
     del engine._compute_columns
-    assert engine.columns([4])[4].shape == (60,)
+    assert engine.columns([4], memoize=memoize)[4].shape == (60,)
     assert engine.stats.column_computes == 1
+    assert len(engine._caches.columns) == (1 if memoize else 0)
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])

@@ -47,7 +47,7 @@ async def until_decided(service, canary, timeout=10.0):
 def break_green(canary):
     """Make the canary's green engine raise on every column read."""
 
-    def broken(queries):
+    def broken(queries, *args, **kwargs):
         raise RuntimeError("forced bad green")
 
     canary.green.engine.columns = broken
@@ -192,10 +192,10 @@ class TestHangBound:
         columns = engine.columns
         release = threading.Event()
 
-        def blocking(queries):
+        def blocking(queries, *args, **kwargs):
             if 0 in queries:
                 release.wait(3.0)
-            return columns(queries)
+            return columns(queries, *args, **kwargs)
 
         engine.columns = blocking
         service.start_background()
@@ -448,8 +448,9 @@ class TestCanaryRetention:
 
 class TestCanaryWithWorkers:
     def test_promotion_keeps_the_workers_canary_engines(self):
-        """A promoted canary keeps serving from green's own engine, so
-        the columns warmed during the canary are not computed again."""
+        """A promoted canary keeps serving from green's own engine:
+        promotion builds nothing, and the next read computes on
+        green's engine while blue's stays idle."""
         service = make_service(
             graph=figure1_citation_graph(),
             num_iterations=8,
@@ -458,25 +459,35 @@ class TestCanaryWithWorkers:
             workers=2,
         )
 
+        def computes(blue, green):
+            return (
+                blue.engine.stats.column_computes,
+                green.engine.stats.column_computes,
+            )
+
         async def main():
             async with service:
+                blue = service.snapshots.current
                 canary = service.mutate_canary(
                     add=[("a", "h")], fraction=1.0
                 )
+                builds = service.snapshots.builds
                 for _ in range(40):
                     await service.top_k("h", k=3)
                     if canary.outcome:
                         break
                 await asyncio.sleep(0.2)
-                computes = canary.green.engine.stats.column_computes
+                current = service.snapshots.current
+                before = computes(blue, canary.green)
                 await service.top_k("h", k=3)
-                return canary, computes
+                after = computes(blue, canary.green)
+                return canary, builds, current, before, after
 
-        canary, computes = run(main())
+        canary, builds, current, before, after = run(main())
         assert canary.outcome == "promote"
-        assert service.snapshots.current is canary.green
-        assert computes == 1
-        assert canary.green.engine.stats.column_computes == computes
+        assert current is canary.green
+        assert service.snapshots.builds == builds
+        assert after == (before[0], before[1] + 1)
 
 
 class TestCanaryDecisions:
