@@ -37,7 +37,7 @@ def main() -> None:
     }
 
     # ask for the query column *before* any full matrix exists, so the
-    # engine serves it by the O(L^2 m) series walk — compared against
+    # engine serves it by the O(L m) series walk — compared against
     # the full matrix below
     column = engines["gSR*"].single_source(query)
     assert engines["gSR*"].stats.column_computes == 1

@@ -76,8 +76,8 @@ The serving hot paths are tuned for query volume; four knobs matter:
   ``engine.batch_top_k(queries)`` (or, functionally,
   :func:`repro.core.multi_source.multi_source`) rather than looping
   ``top_k``. Fresh columns are evaluated together by the blocked
-  multi-source kernel — ``2 L`` sparse x dense-``(n, B)`` products for
-  the whole batch instead of ``O(L^2)`` sparse mat-vecs *per query* —
+  multi-source kernel — at most ``2 L`` sparse x dense-``(n, B)``
+  products per block instead of ``O(L^2)`` sparse mat-vecs *per query* —
   which is several times faster even at moderate batch sizes (the
   ``BENCH_*.json`` files record the measured ratio as
   ``speedup_engine_batch_vs_loop``). Memoized and duplicate queries

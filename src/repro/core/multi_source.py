@@ -8,9 +8,9 @@ walks, and the per-call overhead of a sparse mat-vec dwarfs its
 arithmetic on real graphs.
 
 :func:`multi_source` evaluates the same truncated series for a dense
-``n x B`` block of one-hot query columns ``E`` with ``2 L`` sparse
-products total instead of ``B * O(L^2)`` mat-vecs, by factorising the
-grid::
+``n x B`` block of one-hot query columns ``E`` with at most ``2 L``
+sparse products per block instead of ``B * O(L^2)`` mat-vecs, by
+factorising the grid::
 
     S[:, queries] = sum_a Q^a U_a,
     U_a           = sum_b coef[b, a] (Q^T)^b E
@@ -22,14 +22,29 @@ grid::
    ``coef[b, a] = w_{a+b} * binom(a+b, a) / 2^{a+b}`` into every
    ``U_a`` at once (BLAS-3, no per-term Python);
 3. **Horner sweep** — ``result = U_0 + Q (U_1 + Q (U_2 + ...))``,
-   ``L`` more sparse x block products, executed in-place through
-   :func:`repro.core.kernels.spmm`.
+   ``L`` more sparse x block products, each accumulated into ``U_a``
+   in place through :func:`repro.core.kernels.spmm`.
+
+A query's in-degree decides how much of that it needs, so each batch
+is split into three classes, read off the CSR row pointers alone (a
+stored zero only ever sends a query down the longer path):
+
+* **in-linked** (row ``q`` of ``Q`` non-empty) — the full walk above;
+* **in-link-free with out-links** — ``(Q^T) e_q = 0`` ends the
+  backward pass at ``W_0 = E``, so one walk level, a ``K = 1`` GEMM
+  and the full Horner sweep (``L`` products with ``Q``);
+* **isolated** — ``Q e_q = 0`` too, so the column is ``w_0 e_q``,
+  with no sparse product (zero terms).
+
+Every class runs the same :func:`_solve_block`, and a column's bytes
+never depend on its block-mates, the block width or the query order.
 
 The coefficient table is precomputed once per ``(num_terms, weights)``
 by :func:`series_coefficients` and shared with the single-source path,
 which is now the ``B = 1`` case of this kernel. ``block_size`` caps
-how many query columns are in flight at once (working memory is
-``~2 (L+1) * n * block`` floats).
+how many query columns of each class are in flight at once: working
+memory is ``~2 (L+1) * n * block`` floats for in-linked queries (the
+walks and the ``U_a``) and ``~(L+2) * n * block`` for the others.
 """
 
 from __future__ import annotations
@@ -92,30 +107,27 @@ def _solve_block(
     coef_t: np.ndarray,
     query_ids: np.ndarray,
     num_terms: int,
-    out: np.ndarray,
-) -> None:
-    """Backward pass + coefficient GEMM + Horner sweep for one block."""
+    levels: int,
+) -> np.ndarray:
+    """Backward pass + coefficient GEMM + Horner sweep for one block.
+
+    ``levels`` backward-walk levels (``W_0 .. W_{levels-1}``) feed the
+    ``num_terms`` Horner steps; returns the ``(n, width)`` block.
+    """
     n = q.shape[0]
     width = query_ids.size
-    dtype = out.dtype
-    levels = num_terms + 1
-    walks = np.zeros((levels, n, width), dtype=dtype)
+    walks = np.empty((levels, n, width), dtype=coef_t.dtype)
+    walks[0].fill(0)  # spmm zero-fills every later level it writes
     walks[0][query_ids, np.arange(width)] = 1.0
     for b in range(1, levels):
         spmm(qt, walks[b - 1], out=walks[b])
     # u[a] = sum_b coef[b, a] * walks[b] — one BLAS-3 contraction.
     u = np.matmul(
-        coef_t, walks.reshape(levels, n * width)
-    ).reshape(levels, n, width)
-    acc = u[num_terms]
-    scratch = np.empty((n, width), dtype=dtype)
+        coef_t[: num_terms + 1, :levels], walks.reshape(levels, n * width)
+    ).reshape(num_terms + 1, n, width)
     for a in range(num_terms - 1, -1, -1):
-        spmm(q, acc, out=scratch)
-        scratch += u[a]
-        # ping-pong: the buffer `acc` pointed at (a slice of u or the
-        # scratch) is dead after this step, so reuse it next round
-        acc, scratch = scratch, acc
-    out[...] = acc
+        spmm(q, u[a + 1], out=u[a], accumulate=True)
+    return u[0]
 
 
 def multi_source(
@@ -136,7 +148,8 @@ def multi_source(
     ``single_source(graph, queries[j], ...)`` (to ~1e-15 in float64 —
     the factorised evaluation reorders float additions — and to a
     loose ~1e-4 tolerance in float32). Duplicate queries are allowed
-    and produce duplicate columns.
+    and produce duplicate columns. The array is column-major, so each
+    column is a contiguous view that can be ranked without a copy.
 
     Parameters mirror :func:`repro.core.queries.single_source`;
     ``dtype`` selects the arithmetic precision (``float64`` default,
@@ -211,15 +224,21 @@ def multi_source(
     if qt.dtype != dtype:
         qt = qt.astype(dtype)
 
-    result = np.empty((n, num_queries), dtype=dtype)
-    for start in range(0, num_queries, block_size):
-        stop = min(start + block_size, num_queries)
-        _solve_block(
-            q,
-            qt,
-            coef_t,
-            query_ids[start:stop],
-            num_terms,
-            result[:, start:stop],
-        )
+    # Without in-links (row q of Q empty) every (Q^T)^b e_q, b >= 1, is
+    # zero, so one walk level serves; without out-links as well (row q
+    # of Q^T empty) every Q^a e_q, a >= 1, is zero too: no terms.
+    has_in = q.indptr[query_ids + 1] > q.indptr[query_ids]
+    has_out = qt.indptr[query_ids + 1] > qt.indptr[query_ids]
+    result = np.empty((num_queries, n), dtype=dtype).T
+    for members, terms, levels in (
+        (has_in, num_terms, num_terms + 1),
+        (~has_in & has_out, num_terms, 1),
+        (~has_in & ~has_out, 0, 1),
+    ):
+        positions = np.flatnonzero(members)
+        for start in range(0, positions.size, block_size):
+            cols = positions[start : start + block_size]
+            result[:, cols] = _solve_block(
+                q, qt, coef_t, query_ids[cols], terms, levels
+            )
     return result

@@ -60,7 +60,9 @@ def single_source(
 
     Equals column ``query`` of
     :func:`repro.core.series.simrank_star_series` with the same
-    truncation, at ``O(L^2 m)`` cost instead of ``O(L n m)``.
+    truncation. It is the ``B = 1`` case of the blocked kernel
+    :func:`~repro.core.multi_source.multi_source`: at most ``2L``
+    sparse mat-vecs, ``O(L m)``, instead of ``O(L n m)``.
 
     ``transition`` (the backward transition matrix ``Q``) and
     ``transition_t`` (``Q^T`` in CSR form) may be passed to reuse

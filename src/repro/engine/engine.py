@@ -14,8 +14,8 @@ everything.
 
 Measure dispatch goes through :mod:`repro.engine.registry`; each
 :class:`MeasureSpec` declares which cached artifacts its callable can
-consume and whether its columns can be served by the ``O(L^2 m)``
-series walk instead of a full ``O(K n m)`` matrix build.
+consume and whether its columns can be served by the ``O(L m)``
+blocked series walk instead of a full ``O(K n m)`` matrix build.
 
 Artifact *construction* lives in :mod:`repro.index.artifacts` — the
 lazy builders here are thin wrappers over it — and a prebuilt
@@ -605,8 +605,11 @@ class SimilarityEngine:
 
         ``memoize=False`` leaves fresh columns out of the memo (the
         serving path, :func:`~repro.engine.results.run_tasks`, whose
-        repeats the result cache answers); lookups, the single flight
-        below and the hit / miss / compute counts are unchanged.
+        repeats the result cache answers) and returns kernel columns
+        as read-only views of their shared ``(n, B)`` block; memoized
+        ones are copies, so a memo entry holds one column. Lookups,
+        the single flight below and the hit / miss / compute counts
+        are unchanged.
 
         Thread-safe, and built for worker threads sharing one engine:
         the memo lookups and bookkeeping run under the engine lock,
@@ -653,6 +656,10 @@ class SimilarityEngine:
                     }
                 else:
                     computed = self._compute_columns(tuple(fresh))
+                    if memoize:  # a memo entry must not pin the block
+                        computed = {
+                            q: col.copy() for q, col in computed.items()
+                        }
                 with self._lock:
                     for q, scores in computed.items():
                         scores.flags.writeable = False
@@ -681,7 +688,9 @@ class SimilarityEngine:
 
         Pure compute, run outside the engine lock: ``queries`` are
         distinct resolved ids, and :meth:`columns` counts (and, when
-        asked to, memoizes) what comes back.
+        asked to, copies and memoizes) what comes back. The columns
+        are contiguous views of the kernel's column-major ``(n, B)``
+        block, which a served read ranks in place.
         """
         block = _series_block(
             self._graph,
@@ -698,10 +707,7 @@ class SimilarityEngine:
                 else None
             ),
         )
-        return {
-            q: np.ascontiguousarray(block[:, j])
-            for j, q in enumerate(queries)
-        }
+        return {q: block[:, j] for j, q in enumerate(queries)}
 
     def _matrix_columns(
         self, caches: _Caches, queries: list[int]

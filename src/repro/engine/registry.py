@@ -66,7 +66,7 @@ class MeasureSpec:
     timed:
         Part of the Figure 6(e)-(h) efficiency comparison.
     supports_single_source:
-        One column can be served by the ``O(L^2 m)`` series walk of
+        One column can be served by the ``O(L m)`` series walk of
         :func:`repro.core.queries.single_source` and agrees with this
         measure's full matrix. When false, the engine serves columns
         by slicing the (memoized) full matrix instead.

@@ -305,8 +305,11 @@ def test_inflight_column_is_computed_once(memoize):
     )
     first.start()
     assert entered.wait(5)
+    awaited = {}
     waiter = threading.Thread(
-        target=engine.columns, args=([4, 5],), kwargs={"memoize": memoize}
+        target=lambda: awaited.update(
+            engine.columns([4, 5], memoize=memoize)
+        )
     )
     waiter.start()
     time.sleep(0.05)
@@ -318,6 +321,8 @@ def test_inflight_column_is_computed_once(memoize):
     assert (engine.stats.misses, engine.stats.hits) == (2, 1)
     assert len(engine._caches.columns) == (2 if memoize else 0)
     assert not engine._caches.inflight
+    if memoize:  # the claim's waiter holds the memo's own copy
+        assert awaited[4] is engine._caches.columns.get(4)
 
 
 @pytest.mark.parametrize("memoize", [True, False])

@@ -800,6 +800,34 @@ class TestColumnMemoBound:
         assert cfg.max_cached_columns == 8
 
 
+class TestColumnOwnership:
+    """Served columns are views of the kernel's block; memoized
+    columns own their data, so a memo entry never pins a block."""
+
+    def test_served_batch_shares_one_read_only_block(self):
+        g = random_digraph(40, 200, seed=27)
+        engine = SimilarityEngine(g, num_iterations=5)
+        cols = engine.columns([3, 7, 11], memoize=False)
+        block = cols[3].base
+        assert block is not None and block.size == 40 * 3
+        assert all(col.base is block for col in cols.values())
+        assert all(col.flags.c_contiguous for col in cols.values())
+        assert not any(col.flags.writeable for col in cols.values())
+        reference = SimilarityEngine(g, num_iterations=5)
+        for q, col in cols.items():
+            np.testing.assert_array_equal(col, reference.single_source(q))
+
+    def test_memoized_column_owns_its_data(self):
+        engine = SimilarityEngine(
+            random_digraph(40, 200, seed=28), num_iterations=5
+        )
+        engine.columns([3, 7])
+        col = engine.single_source(3)
+        assert col.base is None and col.flags.owndata
+        assert not col.flags.writeable
+        assert engine.single_source(3) is col
+
+
 class TestThreadSafety:
     """Concurrent first queries must build shared artifacts once."""
 

@@ -2,6 +2,7 @@
 table, the in-place spmm building block, and dtype threading through
 the iteration cores."""
 
+import importlib
 import math
 
 import numpy as np
@@ -18,12 +19,19 @@ from repro.core import (
     simrank_star,
     simrank_star_exponential,
     simrank_star_series,
+    simrank_star_series_bruteforce,
     single_source,
     single_source_reference,
 )
 from repro.core import kernels
 from repro.core.multi_source import _coefficients_cached
-from repro.graph import figure1_citation_graph, path_graph, random_digraph
+from repro.datasets import web_graph
+from repro.graph import (
+    DiGraph,
+    figure1_citation_graph,
+    path_graph,
+    random_digraph,
+)
 from repro.graph.matrices import backward_transition_matrix
 
 
@@ -138,6 +146,121 @@ class TestBlockedParity:
             g, [3], 0.6, 5, transition=q64, dtype=np.float32
         )
         assert out.dtype == np.float32
+
+
+#: graphs rich in the kernel's short paths: queries without in-links
+#: (one walk level) and isolated queries (zero terms)
+DEGENERATE_GRAPHS = {
+    "single-node": lambda: DiGraph(1),
+    "edgeless": lambda: DiGraph(5),
+    "out-star": lambda: DiGraph(5, edges=[(0, v) for v in range(1, 5)]),
+    "in-star": lambda: DiGraph(5, edges=[(v, 0) for v in range(1, 5)]),
+    "self-loop": lambda: DiGraph(3, edges=[(0, 1), (2, 2)]),
+    "2-cycle+isolated": lambda: DiGraph(3, edges=[(0, 1), (1, 0)]),
+    **{
+        f"web6-seed{s}": (lambda s=s: web_graph(6, density=5.6, seed=s))
+        for s in (1, 2, 3)
+    },
+}
+SCHEMES = [GeometricWeights, ExponentialWeights, HarmonicWeights]
+# the package re-exports the function under the module's own name
+multi_source_module = importlib.import_module("repro.core.multi_source")
+
+
+def degree_classes(graph):
+    """(in-linked, in-link-free with out-links, isolated) node ids."""
+    has_in = graph.in_degrees() > 0
+    has_out = graph.out_degrees() > 0
+    return (
+        np.flatnonzero(has_in),
+        np.flatnonzero(~has_in & has_out),
+        np.flatnonzero(~has_in & ~has_out),
+    )
+
+
+def count_spmm(monkeypatch):
+    """Record the sparse operand of every product the kernel makes."""
+    calls = []
+    real = multi_source_module.spmm
+
+    def counting(matrix, dense, out, accumulate=False):
+        calls.append(matrix)
+        return real(matrix, dense, out, accumulate)
+
+    monkeypatch.setattr(multi_source_module, "spmm", counting)
+    return calls
+
+
+class TestDegreeClasses:
+    """The in-degree split is exact: every class against one oracle."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
+    def test_matches_bruteforce_oracle(self, name, scheme):
+        g = DEGENERATE_GRAPHS[name]()
+        w = scheme(0.6)
+        oracle = simrank_star_series_bruteforce(g, 0.6, 10, weights=w)
+        queries = np.random.default_rng(24).permutation(g.num_nodes)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-4)):
+            alone = {
+                int(q): multi_source(g, [q], 0.6, 10, weights=w,
+                                     dtype=dtype)[:, 0]
+                for q in queries
+            }
+            for block_size in (1, 3, 64):
+                for order in (queries, queries[::-1]):
+                    block = multi_source(
+                        g, order, 0.6, 10, weights=w, dtype=dtype,
+                        block_size=block_size,
+                    )
+                    np.testing.assert_allclose(
+                        block, oracle[:, order], atol=tol, rtol=0
+                    )
+                    for j, q in enumerate(order):
+                        assert np.array_equal(block[:, j], alone[int(q)])
+        for q in queries:
+            np.testing.assert_allclose(
+                single_source(g, int(q), 0.6, 10, weights=w),
+                oracle[:, q], atol=1e-12, rtol=0,
+            )
+
+    def test_web_graph_matches_reference(self):
+        g = web_graph(9, density=5.6, seed=1)
+        assert [ids.size for ids in degree_classes(g)] == [350, 64, 98]
+        queries = np.random.default_rng(24).permutation(g.num_nodes)
+        block = multi_source(g, queries, 0.6, 10)
+        for j, q in enumerate(queries):
+            np.testing.assert_allclose(
+                block[:, j], single_source_reference(g, int(q), 0.6, 10),
+                atol=1e-12, rtol=0,
+            )
+        alone = multi_source(g, queries[:40], 0.6, 10, block_size=1)
+        assert np.array_equal(block[:, :40], alone)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_isolated_column_is_w0_unit_vector(self, dtype):
+        # gSR*'s w_0 = 1 - c: an isolated query is similar only to itself
+        g = DiGraph(3, edges=[(0, 1), (1, 0)])
+        expected = np.zeros(3, dtype=dtype)
+        expected[2] = 1 - 0.6
+        assert np.array_equal(multi_source(g, [2], 0.6, dtype=dtype)[:, 0],
+                              expected)
+
+    def test_shortcut_skips_sparse_products(self, monkeypatch):
+        g = web_graph(6, density=5.6, seed=2)
+        q = backward_transition_matrix(g)
+        qt = q.T.tocsr()
+        inlinked, inlink_free, isolated = degree_classes(g)
+        calls = count_spmm(monkeypatch)
+        for ids, expected in (
+            (isolated, []),
+            (inlink_free, [q] * 10),
+            (inlinked, [qt] * 10 + [q] * 10),
+        ):
+            calls.clear()
+            multi_source(g, ids, 0.6, 10, transition=q, transition_t=qt)
+            assert len(calls) == len(expected)
+            assert all(a is b for a, b in zip(calls, expected))
 
 
 class TestMultiSourceValidation:
