@@ -31,7 +31,11 @@ asymmetrically (the SLING-style near/far split):
   the coefficient-merged query-side weight.
 
 Per query the cost is ``O(support * samples)`` gathered walk entries,
-independent of ``n``.
+independent of ``n``. Every per-entry loop is a compiled CSR loop of
+:mod:`repro.core.kernels` that runs without the GIL: one row gather
+per sparse read, and one scatter per source level into a ``float64``
+scratch. Those loops trust their indices, so the constructor checks
+``Q``, ``Q^T`` and every bucket level once (``ValueError``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.approx.walks import WalkIndex, _multi_range
+from repro.approx.walks import WalkIndex
+from repro.core.kernels import check_csr, gather_rows, scatter_rows
 
 __all__ = ["ApproxEstimator", "ApproxStats"]
 
@@ -153,10 +158,11 @@ class ApproxEstimator:
         dtype: np.dtype | str = np.float64,
         support_cap: int = 8192,
     ) -> None:
-        if transition.shape[0] != walks.num_nodes:
+        n = walks.num_nodes
+        if transition.shape[0] != n:
             raise ValueError(
                 f"transition is over {transition.shape[0]} nodes but "
-                f"the walk index covers {walks.num_nodes}"
+                f"the walk index covers {n}"
             )
         coefficients = np.asarray(coefficients, dtype=np.float64)
         if coefficients.shape != (truncation + 1, truncation + 1):
@@ -168,7 +174,7 @@ class ApproxEstimator:
         if support_cap < 1:
             raise ValueError("support_cap must be >= 1")
         self.walks = walks
-        self._n = int(walks.num_nodes)
+        self._n = n
         self.truncation = int(truncation)
         self._query_depth = min(
             int(truncation), walks.walk_length + _QUERY_DEPTH_MARGIN
@@ -180,20 +186,19 @@ class ApproxEstimator:
         # worker threads estimate concurrently on one estimator
         self._stats_lock = threading.Lock()
         self._coef = coefficients
-        self._q_indptr = np.asarray(transition.indptr, dtype=np.int64)
-        self._q_indices = np.asarray(
-            transition.indices, dtype=np.int64
+        self._q, qt = (
+            (
+                np.asarray(matrix.indptr, dtype=np.int64),
+                np.asarray(matrix.indices, dtype=np.int64),
+                np.asarray(matrix.data, dtype=np.float64),
+            )
+            for matrix in (transition, transition_t)
         )
-        self._q_data = np.asarray(transition.data, dtype=np.float64)
-        self._qt_indptr = np.asarray(
-            transition_t.indptr, dtype=np.int64
-        )
-        self._qt_indices = np.asarray(
-            transition_t.indices, dtype=np.int64
-        )
-        self._qt_data = np.asarray(
-            transition_t.data, dtype=np.float64
-        )
+        for indptr, indices, _ in (self._q, qt):
+            check_csr(indptr, indices, n)
+        # source level 1 reads Q^T's rows, level l >= 2 the buckets of
+        # walk level l (level 0 is analytic)
+        self._levels = (qt, *walks.levels[1:])
 
     # ------------------------------------------------------------------
     # exact sparse query side
@@ -240,13 +245,7 @@ class ApproxEstimator:
         is applied *on the dense vector*, so the (large, diffuse) raw
         support is never materialised as an index array.
         """
-        starts = self._q_indptr[nodes]
-        lengths = self._q_indptr[nodes + 1] - starts
-        idx = _multi_range(starts, lengths)
-        out_nodes = self._q_indices[idx]
-        if out_nodes.size == 0:
-            return out_nodes, np.empty(0, dtype=np.float64)
-        out_vals = self._q_data[idx] * np.repeat(values, lengths)
+        _, out_nodes, out_vals = gather_rows(*self._q, nodes, values)
         if out_nodes.size <= 4096:
             # small supports (deep levels on DAGs) consolidate by a
             # local sort — no O(n) dense passes for an O(100) result
@@ -263,13 +262,8 @@ class ApproxEstimator:
         kept = dense[uniq]
         if uniq.size < support:
             tally.support_truncations += 1
-        if uniq.size > self.support_cap:
-            tally.support_truncations += 1
-            keep = np.argpartition(kept, -self.support_cap)[
-                -self.support_cap:
-            ]
-            keep.sort()
-            return uniq[keep], kept[keep]
+        if uniq.size > self.support_cap:  # _trim's hard cap
+            return self._trim(uniq, kept, tally)
         return uniq, kept
 
     def _query_side(
@@ -324,84 +318,23 @@ class ApproxEstimator:
         return union, stacked @ coef
 
     # ------------------------------------------------------------------
-    # analytic near levels
+    # source side
     # ------------------------------------------------------------------
-    def _gather_level_one(
-        self, nodes: np.ndarray, values: np.ndarray, tally: ApproxStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact ``sum_w Q[u, w] m_1(w)`` contributions via ``Q^T`` rows.
-
-        ``Q^T``'s row ``w`` lists exactly the nodes one reverse step
-        away from ``w`` with their ``Q`` weights, so the level-1 term
-        — the heaviest sampled level would otherwise be — is scored
-        with zero variance at ``O(support * degree)`` cost. Returns
-        ``(targets, contributions)`` for the caller's shared flush.
-        """
-        nodes, values = self._trim(nodes, values, tally)
-        starts = self._qt_indptr[nodes]
-        lengths = self._qt_indptr[nodes + 1] - starts
-        idx = _multi_range(starts, lengths)
-        return self._qt_indices[idx], self._qt_data[idx] * np.repeat(
-            values, lengths
-        )
-
-    # ------------------------------------------------------------------
-    # sampled far levels
-    # ------------------------------------------------------------------
-    def _gather_level(
-        self,
-        level: int,
-        nodes: np.ndarray,
-        values: np.ndarray,
-        tally: ApproxStats,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``count * m_level(w) / samples`` per walk landing on ``w``.
-
-        The support is mass-trimmed first: bucket reads are the
-        estimator's dominant cost and the trimmed tail is bounded far
-        below the sampling noise it rides on. Returns
-        ``(sources, contributions)`` for the caller's shared flush.
-        """
-        nodes, values = self._trim(nodes, values, tally)
-        walks = self.walks
-        row = walks.indptr[level - 1]
-        base = int(walks.level_offsets[level - 1])
-        starts = base + row[nodes]
-        lengths = row[nodes + 1] - row[nodes]
-        idx = _multi_range(
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(lengths, dtype=np.int64),
-        )
-        hit_sources = walks.sources[idx]
-        weights = np.repeat(
-            values / walks.samples, lengths
-        ) * walks.counts[idx]
-        tally.samples_drawn += int(hit_sources.size)
-        return hit_sources, weights
-
-    def _flush(
-        self,
-        acc: np.ndarray,
-        pending: list[tuple[np.ndarray, np.ndarray]],
+    def _scatter(
+        self, level: int, nodes: np.ndarray, values: np.ndarray,
+        scratch: np.ndarray, tally: ApproxStats,
     ) -> None:
-        """Accumulate gathered contributions in one dense pass.
-
-        All pending levels share a single ``bincount`` over the
-        concatenated gathers — the ``O(n)`` accumulator passes are
-        paid once per flush, not once per level.
+        """Add ``sum_w Q^level[u, w] m_level(w)`` into ``scratch[u]``:
+        exactly through ``Q^T``'s row ``w`` at level 1, and as the
+        bucket's ``count / samples`` at level ``l >= 2``. The support
+        is mass-trimmed first, far below the sampling noise.
         """
-        targets = [t for t, _ in pending if t.size]
-        if not targets:
-            pending.clear()
-            return
-        acc += np.bincount(
-            np.concatenate(targets),
-            weights=np.concatenate(
-                [w for _, w in pending if w.size]
-            ),
-            minlength=acc.size,
-        ).astype(acc.dtype)
-        pending.clear()
+        nodes, values = self._trim(nodes, values, tally)
+        row_ptr, cols, vals = gather_rows(*self._levels[level - 1], nodes)
+        if level >= _FIRST_SAMPLED_LEVEL:
+            values = values / self.walks.samples
+            tally.samples_drawn += cols.size
+        scatter_rows(row_ptr, cols, vals, values, scratch)
 
     # ------------------------------------------------------------------
     # public estimates
@@ -412,23 +345,20 @@ class ApproxEstimator:
         Entry ``u`` estimates ``S[u, query]`` under the engine's
         truncated series, from every walk level.
         """
+        query = int(query)
+        if not 0 <= query < self._n:  # the gathers trust their rows
+            raise IndexError(f"query {query} out of range [0, {self._n})")
         tally = ApproxStats(columns=1)
         union, weights = self._merged_weights(
-            self._query_side(int(query), tally)
+            self._query_side(query, tally)
         )
         acc = np.zeros(self._n, dtype=self.dtype)
         if union.size:
             acc[union] += weights[:, 0].astype(self.dtype)
-            pending = []
-            if weights.shape[1] > 1:
-                pending.append(
-                    self._gather_level_one(union, weights[:, 1], tally)
-                )
-            for alpha in range(_FIRST_SAMPLED_LEVEL, weights.shape[1]):
-                pending.append(self._gather_level(
-                    alpha, union, weights[:, alpha], tally
-                ))
-            self._flush(acc, pending)
+            scratch = np.zeros(self._n)
+            for level in range(1, weights.shape[1]):
+                self._scatter(level, union, weights[:, level], scratch, tally)
+            acc += scratch.astype(self.dtype, copy=False)
         self._record(tally)
         return acc
 

@@ -37,11 +37,13 @@ and memory-map them back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.kernels import check_csr, gather_rows
 from repro.core.splice import _splice_ranges
 
 __all__ = ["WalkIndex"]
@@ -62,23 +64,6 @@ def _validate_build_args(walk_length: int, samples: int) -> None:
         raise ValueError(
             f"samples must fit the uint16 bucket counts, got {samples}"
         )
-
-
-def _multi_range(
-    starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Flat indices covering ``[starts[i], starts[i] + lengths[i])``.
-
-    The vectorised many-slices gather that bucket reads and the
-    estimator's sparse pushes are built on.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg_starts = np.cumsum(lengths) - lengths
-    return np.repeat(starts - seg_starts, lengths) + np.arange(
-        total, dtype=np.int64
-    )
 
 
 def _walk_buckets(
@@ -358,14 +343,10 @@ class WalkIndex:
         targets = np.unique(np.asarray(targets, dtype=np.int64))
         if self.walk_length == 0 or targets.size == 0:
             return self
-        parts = [targets]
-        for level in range(1, self.walk_length):
-            row = self.indptr[level - 1]
-            parts.append(self.sources[_multi_range(
-                int(self.level_offsets[level - 1]) + row[targets],
-                row[targets + 1] - row[targets],
-            )])
-        origins = np.unique(np.concatenate(parts).astype(np.int64))
+        if not 0 <= targets[0] <= targets[-1] < n:
+            raise ValueError(f"edit targets must lie in [0, {n})")
+        parts = [gather_rows(*lv, targets)[1] for lv in self.levels[:-1]]
+        origins = np.unique(np.concatenate([targets, *parts]))
         draws = _regenerate_draws(
             self.seed, n, samples, self.walk_length, origins
         )
@@ -479,6 +460,26 @@ class WalkIndex:
     @property
     def num_nodes(self) -> int:
         return int(self.indptr.shape[1]) - 1
+
+    @cached_property
+    def levels(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each level's buckets as an ``n x n`` CSR ``(row_ptr, sources,
+        counts)``, checked once by :func:`~repro.core.kernels.check_csr`
+        (``ValueError``): ``int32`` row pointers and a zero-copy
+        ``int32`` view of the sources when they fit, else ``int64``.
+        """
+        n, out = self.num_nodes, []
+        for level in range(self.walk_length):
+            lo, hi = self.level_offsets[level: level + 2]
+            sources = self.sources[lo:hi]
+            if max(n, hi - lo) > np.iinfo(np.int32).max:
+                sources = sources.astype(np.int64)
+            else:
+                sources = sources.view(np.int32)
+            row_ptr = self.indptr[level].astype(sources.dtype)
+            check_csr(row_ptr, sources, n)
+            out.append((row_ptr, sources, self.counts[lo:hi]))
+        return tuple(out)
 
     @property
     def nbytes(self) -> int:

@@ -1,6 +1,6 @@
 """The Monte-Carlo approx tier: walks, estimator, persistence, wiring.
 
-Four concerns, mirroring the subsystem's layers:
+Five concerns, mirroring the subsystem's layers:
 
 * **walk index** — deterministic builds, deduplicated bucket
   invariants, and ``.simidx`` round-trips (including corrupt and
@@ -9,6 +9,10 @@ Four concerns, mirroring the subsystem's layers:
   the citation datasets and on scale-free graphs of 2,000 and 10,000
   nodes at the default epsilon, and bit-for-bit seed-reproducibility
   of the estimates;
+* **estimator exactness** — the compiled gathers and scatters give
+  the same bytes and counters as a numpy-gather reference, and a
+  bucket or ``Q^T`` index out of range is rejected when the estimator
+  is built, before any compiled loop reads it;
 * **engine/config routing** — ``mode="approx"`` validation and the
   engine serving columns and rankings through the estimator;
 * **surfaces** — serve ``/status`` approx stats and the scale-free
@@ -19,16 +23,21 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.approx import (
     DEFAULT_EPSILON,
+    ApproxEstimator,
+    ApproxStats,
     WalkIndex,
     approx_params,
     samples_for_epsilon,
 )
+from repro.approx.estimator import _TAIL_MASS
 from repro.datasets import citation_network, scale_free_graph
 from repro.engine.config import SimilarityConfig
 from repro.engine.engine import SimilarityEngine
@@ -293,6 +302,247 @@ def test_approx_column_tracks_exact_on_dense_meeting_graph():
 
 
 # ---------------------------------------------------------------------------
+# estimator exactness: the compiled loops against a numpy gather
+# ---------------------------------------------------------------------------
+def _multi_range(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices covering ``[starts[i], starts[i] + lengths[i])``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    seg_starts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - seg_starts, lengths) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+class NumpyGatherEstimator(ApproxEstimator):
+    """The estimator with its gathers written in numpy.
+
+    Rows are read through ``_multi_range`` and fancy indexing, each
+    entry is weighted through ``np.repeat``, and the source levels are
+    summed by one ``bincount`` over their concatenated gathers before
+    that sum is added to the level-0 part. ``_query_side``,
+    ``_merged_weights`` and ``_trim`` are the estimator's own.
+    """
+
+    def __init__(self, walks, transition, transition_t, *args, **kwargs):
+        super().__init__(walks, transition, transition_t, *args, **kwargs)
+        self._csr = {
+            name: (
+                np.asarray(matrix.indptr, dtype=np.int64),
+                np.asarray(matrix.indices, dtype=np.int64),
+                np.asarray(matrix.data, dtype=np.float64),
+            )
+            for name, matrix in (("q", transition), ("qt", transition_t))
+        }
+
+    def _rows(self, name, nodes, values):
+        indptr, indices, data = self._csr[name]
+        starts = indptr[nodes]
+        lengths = indptr[nodes + 1] - starts
+        idx = _multi_range(starts, lengths)
+        return indices[idx], data[idx] * np.repeat(values, lengths)
+
+    def _push(self, nodes, values, tally):
+        out_nodes, out_vals = self._rows("q", nodes, values)
+        if out_nodes.size == 0:
+            return out_nodes, np.empty(0, dtype=np.float64)
+        if out_nodes.size <= 4096:
+            uniq, inverse = np.unique(out_nodes, return_inverse=True)
+            return self._trim(
+                uniq, np.bincount(inverse, weights=out_vals), tally
+            )
+        dense = np.bincount(out_nodes, weights=out_vals, minlength=self._n)
+        support = int(np.count_nonzero(dense))
+        threshold = _TAIL_MASS * float(out_vals.sum()) / max(support, 1)
+        uniq = np.nonzero(dense > threshold)[0]
+        kept = dense[uniq]
+        if uniq.size < support:
+            tally.support_truncations += 1
+        if uniq.size > self.support_cap:
+            tally.support_truncations += 1
+            keep = np.argpartition(kept, -self.support_cap)[
+                -self.support_cap:
+            ]
+            keep.sort()
+            return uniq[keep], kept[keep]
+        return uniq, kept
+
+    def column(self, query):
+        tally = ApproxStats(columns=1)
+        union, weights = self._merged_weights(
+            self._query_side(int(query), tally)
+        )
+        acc = np.zeros(self._n, dtype=self.dtype)
+        if union.size:
+            acc[union] += weights[:, 0].astype(self.dtype)
+            walks, targets, contributions = self.walks, [], []
+            for level in range(1, weights.shape[1]):
+                nodes, values = self._trim(union, weights[:, level], tally)
+                if level == 1:
+                    hit, weight = self._rows("qt", nodes, values)
+                else:
+                    row = walks.indptr[level - 1]
+                    lengths = row[nodes + 1] - row[nodes]
+                    idx = _multi_range(
+                        int(walks.level_offsets[level - 1]) + row[nodes],
+                        np.asarray(lengths, dtype=np.int64),
+                    )
+                    hit = walks.sources[idx]
+                    weight = np.repeat(
+                        values / walks.samples, lengths
+                    ) * walks.counts[idx]
+                    tally.samples_drawn += int(hit.size)
+                targets.append(hit)
+                contributions.append(weight)
+            if sum(hit.size for hit in targets):
+                acc += np.bincount(
+                    np.concatenate(targets),
+                    weights=np.concatenate(contributions),
+                    minlength=acc.size,
+                ).astype(acc.dtype)
+        self._record(tally)
+        return acc
+
+
+def _estimator_args(index):
+    return (
+        index.walks, index.transition, index.transition_t,
+        index.coefficients, index.meta.truncation,
+    )
+
+
+ORACLE_GRAPHS = {
+    "one-node": lambda: DiGraph(1),
+    "edgeless": lambda: DiGraph(5),
+    "in-star": lambda: DiGraph(6, edges=[(i, 0) for i in range(1, 6)]),
+    "out-star": lambda: DiGraph(6, edges=[(0, i) for i in range(1, 6)]),
+    # node 0's only edge is its self-loop
+    "self-loop": lambda: DiGraph(3, edges=[(0, 0), (1, 2)]),
+    # a 2-cycle and an isolated node
+    "two-cycle": lambda: DiGraph(3, edges=[(0, 1), (1, 0)]),
+    "small": small_graph,
+    "scale-free-1": lambda: scale_free_graph(
+        2000, avg_out_degree=8, seed=1
+    ),
+    "scale-free-2": lambda: scale_free_graph(
+        2000, avg_out_degree=8, seed=2
+    ),
+}
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["memory", "mmap"])
+@pytest.mark.parametrize("num_iterations", [1, 2, 10])
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_compiled_loops_match_the_numpy_gather_byte_for_byte(
+    tmp_path, name, num_iterations, mapped
+):
+    """Same products, added in the same order: the columns agree to
+    the byte and the counters exactly, with every trim exercised
+    (``support_cap`` 1 and 2 force the hard cap on every level)."""
+    graph = ORACLE_GRAPHS[name]()
+    n = graph.num_nodes
+    if n > 100:  # the 12 heaviest hubs and 12 random nodes
+        hubs = np.argsort(-graph.in_degrees(), kind="stable")[:12]
+        rng = np.random.default_rng(n)
+        queries = [*hubs.tolist(), *rng.choice(n, 12, replace=False)]
+    else:
+        queries = list(range(n))
+    for dtype in ("float64", "float32"):
+        index = SimilarityIndex.build(
+            graph, measure="gSR*", num_iterations=num_iterations,
+            mode="approx", dtype=dtype, seed=11,
+        )
+        if mapped:
+            index = load_index(index.save(tmp_path / f"{dtype}.simidx"))
+            assert not index.walks.indptr.flags.writeable
+        for support_cap in (1, 2, 8192):
+            estimator = ApproxEstimator(
+                *_estimator_args(index), dtype=dtype,
+                support_cap=support_cap,
+            )
+            reference = NumpyGatherEstimator(
+                *_estimator_args(index), dtype=dtype,
+                support_cap=support_cap,
+            )
+            for query in queries:
+                got = estimator.column(query)
+                want = reference.column(query)
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes(), (query, support_cap)
+            assert estimator.stats == reference.stats
+            assert estimator.stats.columns == len(queries)
+
+
+def test_columns_keep_their_bytes_without_the_compiled_loops(monkeypatch):
+    """Without scipy's private loops the estimator falls back to public
+    expressions that multiply and add in the same order."""
+    import repro.core.kernels as kernels
+
+    graph = scale_free_graph(2000, avg_out_degree=8, seed=2)
+    index = SimilarityIndex.build(
+        graph, measure="gSR*", num_iterations=10, mode="approx", seed=11
+    )
+    queries = np.argsort(-graph.in_degrees(), kind="stable")[:8].tolist()
+    queries += list(range(0, graph.num_nodes, 250))
+    compiled = ApproxEstimator(*_estimator_args(index))
+    want = [compiled.column(q) for q in queries]
+    monkeypatch.setattr(kernels, "_HAVE_SPARSETOOLS", False)
+    fallback = ApproxEstimator(*_estimator_args(index))
+    for query, column in zip(queries, want):
+        assert fallback.column(query).tobytes() == column.tobytes()
+    assert fallback.stats == compiled.stats
+
+
+def test_threads_sharing_an_estimator_get_the_sequential_columns():
+    """Worker threads share one estimator and its compiled loops run
+    without the GIL: with more threads than cores and a short switch
+    interval, every column still equals its sequential twin and no
+    count is lost."""
+    graph = scale_free_graph(2000, avg_out_degree=8, seed=1)
+    index = SimilarityIndex.build(
+        graph, measure="gSR*", num_iterations=10, mode="approx", seed=11
+    )
+    hubs = np.argsort(-graph.in_degrees(), kind="stable")[:16]
+    queries = [*hubs.tolist(), *range(0, graph.num_nodes, 125)]
+    sequential = ApproxEstimator(*_estimator_args(index))
+    want = {q: sequential.column(q) for q in queries}
+    shared = ApproxEstimator(*_estimator_args(index))
+    threads_n = 4
+    got = [dict() for _ in range(threads_n)]
+
+    def work(slot):
+        order = queries[slot:] + queries[:slot]
+        for query in order:
+            got[slot][query] = shared.column(query)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for columns in got:
+        assert columns.keys() == want.keys()
+        for query, column in columns.items():
+            assert column.tobytes() == want[query].tobytes()
+    assert shared.stats.columns == threads_n * len(queries)
+    for name in ("samples_drawn", "support_truncations"):
+        assert getattr(shared.stats, name) == threads_n * getattr(
+            sequential.stats, name
+        )
+
+
+# ---------------------------------------------------------------------------
 # engine / config routing
 # ---------------------------------------------------------------------------
 def test_config_validates_mode_epsilon_seed():
@@ -411,10 +661,12 @@ def test_legacy_endpoints_segment_is_ignored(tmp_path):
     assert load_index(path).walks == walks
 
 
-def _with_counts(index, counts):
+def _with_buckets(index, sources=None, counts=None):
     walks = index.walks
     return dataclasses.replace(index, walks=WalkIndex.from_arrays(
-        walks.sources, counts, walks.indptr, walks.level_offsets,
+        walks.sources if sources is None else sources,
+        walks.counts if counts is None else counts,
+        walks.indptr, walks.level_offsets,
         samples=walks.samples, seed=walks.seed,
     ))
 
@@ -429,7 +681,7 @@ def test_verify_flags_impossible_walk_totals(tmp_path):
 
     counts = walks.counts.copy()
     counts[level_one] = walks.samples  # sources with 2+ endpoints overflow
-    path = _with_counts(index, counts).save(tmp_path / "over.simidx")
+    path = _with_buckets(index, counts=counts).save(tmp_path / "over.simidx")
     assert any("level 1" in p for p in verify_index(path))
 
     alive = np.bincount(
@@ -440,7 +692,7 @@ def test_verify_flags_impossible_walk_totals(tmp_path):
     counts = walks.counts.copy()
     counts[level_one][walks.sources[level_one] == grower] = 1
     assert alive[grower] > np.sum(walks.sources[level_one] == grower)
-    path = _with_counts(index, counts).save(tmp_path / "grow.simidx")
+    path = _with_buckets(index, counts=counts).save(tmp_path / "grow.simidx")
     assert any("level 2" in p for p in verify_index(path))
 
 
@@ -467,6 +719,90 @@ def test_truncated_walk_segment_is_rejected(tmp_path):
     assert problems, "truncated walk payload must fail verification"
     with pytest.raises(IndexFormatError):
         load_index(path)
+
+
+# ---------------------------------------------------------------------------
+# structure checks: the compiled loops trust every index they read
+# ---------------------------------------------------------------------------
+def _out_of_range_level_two(walks) -> np.ndarray:
+    sources = walks.sources.copy()
+    level_two = slice(
+        int(walks.level_offsets[1]), int(walks.level_offsets[2])
+    )
+    assert level_two.stop > level_two.start
+    sources[level_two][-1] = 50_000_000
+    return sources
+
+
+def test_estimator_rejects_out_of_range_bucket_sources():
+    index = build_approx_index()
+    bad = _with_buckets(
+        index, sources=_out_of_range_level_two(index.walks)
+    )
+    with pytest.raises(ValueError, match="CSR"):
+        ApproxEstimator(*_estimator_args(bad))
+
+
+def test_estimator_rejects_out_of_range_transpose_index():
+    index = build_approx_index()
+    transition_t = index.transition_t.copy()
+    transition_t.indices[-1] = index.meta.num_nodes
+    bad = dataclasses.replace(index, transition_t=transition_t)
+    with pytest.raises(ValueError, match="CSR"):
+        ApproxEstimator(*_estimator_args(bad))
+
+
+def test_estimator_rejects_decreasing_row_pointers():
+    index = build_approx_index()
+    transition = index.transition.copy()
+    transition.indptr[1], transition.indptr[2] = (
+        transition.indptr[2] + 1, transition.indptr[1]
+    )
+    bad = dataclasses.replace(index, transition=transition)
+    with pytest.raises(ValueError, match="CSR"):
+        ApproxEstimator(*_estimator_args(bad))
+
+
+def test_mapped_index_with_bad_sources_fails_a_read_cleanly(tmp_path):
+    """Checksums are valid, so loading succeeds and maps the bad
+    buckets; the first read raises instead of reaching a C loop."""
+    index = build_approx_index()
+    path = _with_buckets(
+        index, sources=_out_of_range_level_two(index.walks)
+    ).save(tmp_path / "bad.simidx")
+    loaded = load_index(path)
+    assert not loaded.walks.sources.flags.writeable
+    engine = SimilarityEngine.from_index(loaded, small_graph())
+    with pytest.raises(ValueError, match="CSR"):
+        engine.top_k(4, k=3)
+    from repro.serve.service import ServingService
+
+    service = ServingService(
+        small_graph(), APPROX.replace(epsilon=0.1), index_path=path
+    )
+    try:
+        service.start_background()
+        with pytest.raises(ValueError, match="CSR"):
+            service.top_k_sync(4, k=3)
+    finally:
+        service.close()
+
+
+def test_rewalk_and_column_check_before_gathering():
+    index = build_approx_index()
+    q = index.transition
+    bad = _with_buckets(
+        index, sources=_out_of_range_level_two(index.walks)
+    ).walks
+    with pytest.raises(ValueError, match="CSR"):
+        bad.rewalked(q, q, targets=[2])
+    with pytest.raises(ValueError, match="targets"):
+        index.walks.rewalked(q, q, targets=[-1])
+    estimator = ApproxEstimator(*_estimator_args(index))
+    for query in (-1, index.meta.num_nodes):
+        with pytest.raises(IndexError):
+            estimator.column(query)
+    assert estimator.stats.columns == 0
 
 
 # ---------------------------------------------------------------------------
